@@ -19,8 +19,6 @@
 //! next element is processed, so peak extra memory is one column matrix
 //! regardless of batch size.
 
-use rayon::prelude::*;
-
 use crate::arena;
 use crate::ops::matmul::{mm_acc, transpose2d};
 use crate::plan;
@@ -330,32 +328,30 @@ fn conv1d_forward_direct(
 ) -> Vec<f32> {
     let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
     let mut out = arena::zeroed(d.b * cout * lo);
-    out.par_chunks_mut(cout * lo)
-        .enumerate()
-        .for_each(|(bi, ochunk)| {
-            let xb = &x[bi * cin * l..(bi + 1) * cin * l];
-            for co in 0..cout {
-                let orow = &mut ochunk[co * lo..(co + 1) * lo];
-                if let Some(bv) = bias {
-                    orow.iter_mut().for_each(|v| *v = bv[co]);
-                }
-                for ci in 0..cin {
-                    let xr = &xb[ci * l..(ci + 1) * l];
-                    let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
-                    for (o, ov) in orow.iter_mut().enumerate() {
-                        let base = o * spec.stride;
-                        let mut acc = 0f32;
-                        for (kk, &wv) in wr.iter().enumerate() {
-                            let pos = base + kk * spec.dilation;
-                            if pos >= spec.padding && pos - spec.padding < l {
-                                acc += wv * xr[pos - spec.padding];
-                            }
+    for (bi, ochunk) in out.chunks_mut(cout * lo).enumerate() {
+        let xb = &x[bi * cin * l..(bi + 1) * cin * l];
+        for co in 0..cout {
+            let orow = &mut ochunk[co * lo..(co + 1) * lo];
+            if let Some(bv) = bias {
+                orow.iter_mut().for_each(|v| *v = bv[co]);
+            }
+            for ci in 0..cin {
+                let xr = &xb[ci * l..(ci + 1) * l];
+                let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
+                for (o, ov) in orow.iter_mut().enumerate() {
+                    let base = o * spec.stride;
+                    let mut acc = 0f32;
+                    for (kk, &wv) in wr.iter().enumerate() {
+                        let pos = base + kk * spec.dilation;
+                        if pos >= spec.padding && pos - spec.padding < l {
+                            acc += wv * xr[pos - spec.padding];
                         }
-                        *ov += acc;
                     }
+                    *ov += acc;
                 }
             }
-        });
+        }
+    }
     out
 }
 
@@ -368,35 +364,33 @@ fn conv1d_forward_im2col(
 ) -> Vec<f32> {
     let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
     let mut out = arena::zeroed(d.b * cout * lo);
-    out.par_chunks_mut(cout * lo)
-        .enumerate()
-        .for_each(|(bi, ochunk)| {
-            if let Some(bv) = bias {
-                for co in 0..cout {
-                    ochunk[co * lo..(co + 1) * lo]
-                        .iter_mut()
-                        .for_each(|v| *v = bv[co]);
-                }
+    for (bi, ochunk) in out.chunks_mut(cout * lo).enumerate() {
+        if let Some(bv) = bias {
+            for co in 0..cout {
+                ochunk[co * lo..(co + 1) * lo]
+                    .iter_mut()
+                    .for_each(|v| *v = bv[co]);
             }
-            let mut col = arena::zeroed(cin * k * lo);
-            im2col1d(
-                &x[bi * cin * l..(bi + 1) * cin * l],
-                &mut col,
-                cin,
-                l,
-                k,
-                lo,
-                spec,
-            );
-            // W viewed as [C_out, C_in·K] is already contiguous row-major.
-            mm_acc(ochunk, w, &col, cout, cin * k, lo);
-            arena::recycle(col);
-        });
+        }
+        let mut col = arena::zeroed(cin * k * lo);
+        im2col1d(
+            &x[bi * cin * l..(bi + 1) * cin * l],
+            &mut col,
+            cin,
+            l,
+            k,
+            lo,
+            spec,
+        );
+        // W viewed as [C_out, C_in·K] is already contiguous row-major.
+        mm_acc(ochunk, w, &col, cout, cin * k, lo);
+        arena::recycle(col);
+    }
     out
 }
 
-/// Backward kernels. `gw`/`gb` accumulation over the batch is serial (the
-/// buffers are shared); `gx` is parallel over the batch (disjoint slices).
+/// Backward kernels: `gx` one batch element at a time, then `gw`/`gb`
+/// accumulated over the batch in order.
 #[allow(clippy::too_many_arguments)]
 fn conv1d_backward_direct(
     x: &[f32],
@@ -409,31 +403,29 @@ fn conv1d_backward_direct(
     gb: &mut [f32],
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
-    gx.par_chunks_mut(cin * l)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-            for co in 0..cout {
-                let gor = &gob[co * lo..(co + 1) * lo];
-                for ci in 0..cin {
-                    let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
-                    let gxr = &mut gxb[ci * l..(ci + 1) * l];
-                    for (o, &g) in gor.iter().enumerate() {
-                        // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let base = o * spec.stride;
-                        for (kk, &wv) in wr.iter().enumerate() {
-                            let pos = base + kk * spec.dilation;
-                            if pos >= spec.padding && pos - spec.padding < l {
-                                gxr[pos - spec.padding] += g * wv;
-                            }
+    for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
+        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+        for co in 0..cout {
+            let gor = &gob[co * lo..(co + 1) * lo];
+            for ci in 0..cin {
+                let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
+                let gxr = &mut gxb[ci * l..(ci + 1) * l];
+                for (o, &g) in gor.iter().enumerate() {
+                    // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
+                    if g == 0.0 {
+                        continue;
+                    }
+                    let base = o * spec.stride;
+                    for (kk, &wv) in wr.iter().enumerate() {
+                        let pos = base + kk * spec.dilation;
+                        if pos >= spec.padding && pos - spec.padding < l {
+                            gxr[pos - spec.padding] += g * wv;
                         }
                     }
                 }
             }
-        });
+        }
+    }
     for bi in 0..b {
         let xb = &x[bi * cin * l..(bi + 1) * cin * l];
         let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
@@ -474,17 +466,15 @@ fn conv1d_backward_im2col(
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
     // grad input: gcol = W^T [C_in·K, C_out] · gout_b [C_out, L_out],
-    // then fold columns back with col2im. Parallel over the batch.
+    // then fold columns back with col2im.
     let wt = transpose2d(w, cout, cin * k);
-    gx.par_chunks_mut(cin * l)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-            let mut gcol = arena::zeroed(cin * k * lo);
-            mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
-            col2im1d(&gcol, gxb, cin, l, k, lo, spec);
-            arena::recycle(gcol);
-        });
+    for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
+        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+        let mut gcol = arena::zeroed(cin * k * lo);
+        mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
+        col2im1d(&gcol, gxb, cin, l, k, lo, spec);
+        arena::recycle(gcol);
+    }
     // grad weight: gw += gout_b [C_out, L_out] · col_b^T [L_out, C_in·K].
     let mut col = arena::zeroed(cin * k * lo);
     for bi in 0..b {
@@ -532,41 +522,39 @@ fn conv2d_forward_direct(
 ) -> Vec<f32> {
     let (cin, h, w_, cout, kh, kw, ho, wo) = (d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let mut out = arena::zeroed(d.b * cout * ho * wo);
-    out.par_chunks_mut(cout * ho * wo)
-        .enumerate()
-        .for_each(|(bi, ochunk)| {
-            let xb = &x[bi * cin * h * w_..(bi + 1) * cin * h * w_];
-            for co in 0..cout {
-                let oplane = &mut ochunk[co * ho * wo..(co + 1) * ho * wo];
-                if let Some(bv) = bias {
-                    oplane.iter_mut().for_each(|v| *v = bv[co]);
-                }
-                for ci in 0..cin {
-                    let xp = &xb[ci * h * w_..(ci + 1) * h * w_];
-                    let wp = &w[(co * cin + ci) * kh * kw..(co * cin + ci + 1) * kh * kw];
-                    for oy in 0..ho {
-                        for ox in 0..wo {
-                            let mut acc = 0f32;
-                            for ky in 0..kh {
-                                let iy = oy * spec.stride + ky;
-                                if iy < spec.padding || iy - spec.padding >= h {
+    for (bi, ochunk) in out.chunks_mut(cout * ho * wo).enumerate() {
+        let xb = &x[bi * cin * h * w_..(bi + 1) * cin * h * w_];
+        for co in 0..cout {
+            let oplane = &mut ochunk[co * ho * wo..(co + 1) * ho * wo];
+            if let Some(bv) = bias {
+                oplane.iter_mut().for_each(|v| *v = bv[co]);
+            }
+            for ci in 0..cin {
+                let xp = &xb[ci * h * w_..(ci + 1) * h * w_];
+                let wp = &w[(co * cin + ci) * kh * kw..(co * cin + ci + 1) * kh * kw];
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let mut acc = 0f32;
+                        for ky in 0..kh {
+                            let iy = oy * spec.stride + ky;
+                            if iy < spec.padding || iy - spec.padding >= h {
+                                continue;
+                            }
+                            let iy = iy - spec.padding;
+                            for kx in 0..kw {
+                                let ix = ox * spec.stride + kx;
+                                if ix < spec.padding || ix - spec.padding >= w_ {
                                     continue;
                                 }
-                                let iy = iy - spec.padding;
-                                for kx in 0..kw {
-                                    let ix = ox * spec.stride + kx;
-                                    if ix < spec.padding || ix - spec.padding >= w_ {
-                                        continue;
-                                    }
-                                    acc += wp[ky * kw + kx] * xp[iy * w_ + (ix - spec.padding)];
-                                }
+                                acc += wp[ky * kw + kx] * xp[iy * w_ + (ix - spec.padding)];
                             }
-                            oplane[oy * wo + ox] += acc;
                         }
+                        oplane[oy * wo + ox] += acc;
                     }
                 }
             }
-        });
+        }
+    }
     out
 }
 
@@ -580,32 +568,30 @@ fn conv2d_forward_im2col(
     let (cin, h, w_, cout, kh, kw, ho, wo) = (d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let cols = ho * wo;
     let mut out = arena::zeroed(d.b * cout * cols);
-    out.par_chunks_mut(cout * cols)
-        .enumerate()
-        .for_each(|(bi, ochunk)| {
-            if let Some(bv) = bias {
-                for co in 0..cout {
-                    ochunk[co * cols..(co + 1) * cols]
-                        .iter_mut()
-                        .for_each(|v| *v = bv[co]);
-                }
+    for (bi, ochunk) in out.chunks_mut(cout * cols).enumerate() {
+        if let Some(bv) = bias {
+            for co in 0..cout {
+                ochunk[co * cols..(co + 1) * cols]
+                    .iter_mut()
+                    .for_each(|v| *v = bv[co]);
             }
-            let mut col = arena::zeroed(cin * kh * kw * cols);
-            im2col2d(
-                &x[bi * cin * h * w_..(bi + 1) * cin * h * w_],
-                &mut col,
-                cin,
-                h,
-                w_,
-                kh,
-                kw,
-                ho,
-                wo,
-                spec,
-            );
-            mm_acc(ochunk, w, &col, cout, cin * kh * kw, cols);
-            arena::recycle(col);
-        });
+        }
+        let mut col = arena::zeroed(cin * kh * kw * cols);
+        im2col2d(
+            &x[bi * cin * h * w_..(bi + 1) * cin * h * w_],
+            &mut col,
+            cin,
+            h,
+            w_,
+            kh,
+            kw,
+            ho,
+            wo,
+            spec,
+        );
+        mm_acc(ochunk, w, &col, cout, cin * kh * kw, cols);
+        arena::recycle(col);
+    }
     out
 }
 
@@ -622,41 +608,39 @@ fn conv2d_backward_direct(
 ) {
     let (b, cin, h, w_, cout, kh, kw, ho, wo) =
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
-    gx.par_chunks_mut(cin * h * w_)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
-            for co in 0..cout {
-                let gop = &gob[co * ho * wo..(co + 1) * ho * wo];
-                for ci in 0..cin {
-                    let wp = &w[(co * cin + ci) * kh * kw..(co * cin + ci + 1) * kh * kw];
-                    let gxp = &mut gxb[ci * h * w_..(ci + 1) * h * w_];
-                    for oy in 0..ho {
-                        for ox in 0..wo {
-                            let g = gop[oy * wo + ox];
-                            // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
-                            if g == 0.0 {
+    for (bi, gxb) in gx.chunks_mut(cin * h * w_).enumerate() {
+        let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
+        for co in 0..cout {
+            let gop = &gob[co * ho * wo..(co + 1) * ho * wo];
+            for ci in 0..cin {
+                let wp = &w[(co * cin + ci) * kh * kw..(co * cin + ci + 1) * kh * kw];
+                let gxp = &mut gxb[ci * h * w_..(ci + 1) * h * w_];
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let g = gop[oy * wo + ox];
+                        // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ky in 0..kh {
+                            let iy = oy * spec.stride + ky;
+                            if iy < spec.padding || iy - spec.padding >= h {
                                 continue;
                             }
-                            for ky in 0..kh {
-                                let iy = oy * spec.stride + ky;
-                                if iy < spec.padding || iy - spec.padding >= h {
+                            let iy = iy - spec.padding;
+                            for kx in 0..kw {
+                                let ix = ox * spec.stride + kx;
+                                if ix < spec.padding || ix - spec.padding >= w_ {
                                     continue;
                                 }
-                                let iy = iy - spec.padding;
-                                for kx in 0..kw {
-                                    let ix = ox * spec.stride + kx;
-                                    if ix < spec.padding || ix - spec.padding >= w_ {
-                                        continue;
-                                    }
-                                    gxp[iy * w_ + (ix - spec.padding)] += g * wp[ky * kw + kx];
-                                }
+                                gxp[iy * w_ + (ix - spec.padding)] += g * wp[ky * kw + kx];
                             }
                         }
                     }
                 }
             }
-        });
+        }
+    }
     for bi in 0..b {
         let xb = &x[bi * cin * h * w_..(bi + 1) * cin * h * w_];
         let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
@@ -709,15 +693,13 @@ fn conv2d_backward_im2col(
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let (rows, cols) = (cin * kh * kw, ho * wo);
     let wt = transpose2d(w, cout, rows);
-    gx.par_chunks_mut(cin * h * w_)
-        .enumerate()
-        .for_each(|(bi, gxb)| {
-            let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];
-            let mut gcol = arena::zeroed(rows * cols);
-            mm_acc(&mut gcol, &wt, gob, rows, cout, cols);
-            col2im2d(&gcol, gxb, cin, h, w_, kh, kw, ho, wo, spec);
-            arena::recycle(gcol);
-        });
+    for (bi, gxb) in gx.chunks_mut(cin * h * w_).enumerate() {
+        let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];
+        let mut gcol = arena::zeroed(rows * cols);
+        mm_acc(&mut gcol, &wt, gob, rows, cout, cols);
+        col2im2d(&gcol, gxb, cin, h, w_, kh, kw, ho, wo, spec);
+        arena::recycle(gcol);
+    }
     let mut col = arena::zeroed(rows * cols);
     for bi in 0..b {
         let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];

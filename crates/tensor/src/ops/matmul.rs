@@ -1,52 +1,74 @@
 //! Matrix multiplication: 2-D, batched 3-D, and 3-D × 2-D.
 
-use rayon::prelude::*;
+use std::ops::Range;
 
 use crate::arena;
 use crate::plan;
 use crate::simd;
 use crate::tensor::{read_pair, Tensor};
 
-/// `c += a (m×k) · b (k×n)` — cache-friendly ikj kernel. The inner axpy
-/// runs at the dispatched SIMD level (bit-identical to scalar — see
-/// `crate::simd`).
+/// `c += a (m×k) · b (k×n)`. At AVX2 the full 4×16 tiles of `c` run in
+/// registers ([`simd::mm_tiles`]); the row and column tails, and all of `c`
+/// at SSE2 or scalar, take the ikj loop. Both are bit-identical to the
+/// scalar ikj loop (see `crate::simd`).
 pub(crate) fn mm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    for i in 0..m {
-        let crow = &mut c[i * n..(i + 1) * n];
+    let (mt, nt) = simd::mm_tiles(c, a, b, m, k, n);
+    mm_ikj(c, a, b, k, n, 0..mt, nt..n);
+    mm_ikj(c, a, b, k, n, mt..m, 0..n);
+}
+
+/// The ikj kernel over a block of `c`: for each row, ascending `k`, one
+/// axpy per nonzero `a[i, p]` at the dispatched SIMD level. With the full
+/// ranges at scalar level this is the oracle every matmul path must match.
+fn mm_ikj(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    if cols.is_empty() {
+        return;
+    }
+    for i in rows {
+        let crow = &mut c[i * n + cols.start..i * n + cols.end];
         for p in 0..k {
             let av = a[i * k + p];
             // aimts-lint: allow(A004, exact-zero skip: sparsity fast path, any nonzero must multiply)
             if av == 0.0 {
                 continue;
             }
-            let brow = &b[p * n..(p + 1) * n];
-            simd::axpy(crow, av, brow);
+            simd::axpy(crow, av, &b[p * n + cols.start..p * n + cols.end]);
         }
     }
 }
 
-/// `a (m×k) · b (k×n)` with rows parallelized when large.
+/// `a (m×k) · b (k×n)` into a fresh arena buffer.
 pub(crate) fn mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = arena::zeroed(m * n);
-    if m * n * k >= 1 << 16 && m > 1 {
-        c.par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-            for p in 0..k {
-                let av = a[i * k + p];
-                // aimts-lint: allow(A004, exact-zero skip: sparsity fast path, any nonzero must multiply)
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                simd::axpy(crow, av, brow);
-            }
-        });
-    } else {
-        mm_acc(&mut c, a, b, m, k, n);
-    }
+    mm_acc(&mut c, a, b, m, k, n);
     c
+}
+
+/// `bsz` independent `[m,k] · [k,n]` products over stacked operands.
+fn bmm(a: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = arena::zeroed(bsz * m * n);
+    for bi in 0..bsz {
+        mm_acc(
+            &mut out[bi * m * n..(bi + 1) * m * n],
+            &a[bi * m * k..(bi + 1) * m * k],
+            &b[bi * k * n..(bi + 1) * k * n],
+            m,
+            k,
+            n,
+        );
+    }
+    out
 }
 
 /// Transpose an `r×c` row-major matrix (arena-backed scratch).
@@ -122,22 +144,9 @@ impl Tensor {
         let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
         assert_eq!(bsz, b2, "batched matmul batch dims differ");
         assert_eq!(k, k2, "matmul inner dims differ");
-        let (ad_ref, bd_ref) = read_pair(self, other);
-        let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
-        let mut out = arena::zeroed(bsz * m * n);
-        out.par_chunks_mut(m * n)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                mm_acc(
-                    chunk,
-                    &ad[bi * m * k..(bi + 1) * m * k],
-                    &bd[bi * k * n..(bi + 1) * k * n],
-                    m,
-                    k,
-                    n,
-                );
-            });
-        drop((ad_ref, bd_ref));
+        let (ad, bd) = read_pair(self, other);
+        let out = bmm(&ad, &bd, bsz, m, k, n);
+        drop((ad, bd));
         let t = Tensor::from_op(
             out,
             &[bsz, m, n],
@@ -166,22 +175,8 @@ impl Tensor {
             plan::Attr::None,
             &[self, other],
             move |ps| {
-                let (ad_ref, bd_ref) = read_pair(&ps[0], &ps[1]);
-                let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
-                let mut out = arena::zeroed(bsz * m * n);
-                out.par_chunks_mut(m * n)
-                    .enumerate()
-                    .for_each(|(bi, chunk)| {
-                        mm_acc(
-                            chunk,
-                            &ad[bi * m * k..(bi + 1) * m * k],
-                            &bd[bi * k * n..(bi + 1) * k * n],
-                            m,
-                            k,
-                            n,
-                        );
-                    });
-                out
+                let (ad, bd) = read_pair(&ps[0], &ps[1]);
+                bmm(&ad, &bd, bsz, m, k, n)
             },
         );
         t

@@ -1,8 +1,9 @@
 //! Element-wise unary operations and activations.
 
 use crate::arena;
+use crate::autograd;
 use crate::plan;
-use crate::tensor::Tensor;
+use crate::tensor::{read_pair, Tensor};
 
 /// Scalar ReLU shared by the eager op and the fused conv→act plan kernel.
 #[inline]
@@ -10,12 +11,51 @@ pub(crate) fn relu_scalar(x: f32) -> f32 {
     x.max(0.0)
 }
 
-/// Scalar GELU (tanh approximation) shared by the eager op and the fused
-/// conv→act plan kernel.
+/// sqrt(2/pi), the scale inside GELU's tanh approximation.
+const GELU_C: f32 = 0.797_884_6;
+
+/// GELU's tanh term `tanh(C·(x + 0.044715·x³))`: the one libm call per
+/// element, shared by the output and the derivative.
 #[inline]
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+}
+
+/// GELU output from `x` and its tanh term `t`.
+#[inline]
+fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
+/// GELU derivative from `x` and its tanh term `t`.
+#[inline]
+fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
+    let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// GELU over `x`, plus the tanh terms when `save` is set (the backward
+/// will read them). Shared by the eager op and [`gelu_replay`], so eager
+/// and replayed steps write identical bits.
+fn gelu_forward(x: &[f32], save: bool) -> (Vec<f32>, Option<Vec<f32>>) {
+    if !save {
+        let y = x.iter().map(|&v| gelu_from_tanh(v, gelu_tanh(v)));
+        return (arena::map_collect(x.len(), y), None);
+    }
+    let t = arena::map_collect(x.len(), x.iter().map(|&v| gelu_tanh(v)));
+    let y = x.iter().zip(&t).map(|(&v, &tv)| gelu_from_tanh(v, tv));
+    (arena::map_collect(x.len(), y), Some(t))
+}
+
+/// Recompute GELU over `x` in a replay, rewriting the op's saved tanh
+/// buffer when it has one. Used by the op's replay thunk and by the fused
+/// conv→GELU plan kernel.
+pub(crate) fn gelu_replay(x: &[f32], saved: Option<&Tensor>) -> Vec<f32> {
+    let (y, t) = gelu_forward(x, saved.is_some());
+    if let (Some(saved), Some(t)) = (saved, t) {
+        saved.swap_data(t);
+    }
+    y
 }
 
 /// Build a unary op given forward `f` and derivative-from-input `df`.
@@ -162,14 +202,36 @@ impl Tensor {
 
     /// Gaussian error linear unit (tanh approximation, as used by GPT-style
     /// models; max error vs exact GELU < 1e-3).
+    ///
+    /// The tanh term is computed once per element. When the input is
+    /// tracked under grad it is kept for the backward; the replay thunk and
+    /// the fused conv→GELU plan kernel rewrite it on every replay, so the
+    /// backward never reads a value from an earlier step.
     pub fn gelu(&self) -> Tensor {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        unary(self, plan::Op::Gelu, gelu_scalar, |x| {
-            let u = C * (x + 0.044715 * x * x * x);
-            let t = u.tanh();
-            let du = C * (1.0 + 3.0 * 0.044715 * x * x);
-            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-        })
+        let save = autograd::is_grad_enabled() && self.is_tracked();
+        let (out, tanh) = gelu_forward(&self.data(), save);
+        let tanh = tanh.map(|t| Tensor::from_vec(t, self.shape()));
+        let y = match tanh.clone() {
+            Some(t) => Tensor::from_op(
+                out,
+                self.shape(),
+                vec![self.clone()],
+                Box::new(move |node, gout| {
+                    let (x, t) = read_pair(&node.op_parents()[0], &t);
+                    let g = gout.iter().zip(x.iter().zip(t.iter()));
+                    vec![Some(arena::map_collect(
+                        gout.len(),
+                        g.map(|(g, (&xi, &ti))| g * gelu_grad_from_tanh(xi, ti)),
+                    ))]
+                }),
+            ),
+            // Nothing will differentiate through the output.
+            None => Tensor::from_vec(out, self.shape()),
+        };
+        plan::record_saving(&y, plan::Op::Gelu, &[self], tanh.clone(), move |ps| {
+            gelu_replay(&ps[0].data(), tanh.as_ref())
+        });
+        y
     }
 
     /// Logistic sigmoid.
@@ -276,6 +338,71 @@ mod tests {
         assert!(close(Tensor::scalar(0.0).gelu().item(), 0.0));
         assert!(close(Tensor::scalar(5.0).gelu().item(), 5.0));
         assert!(Tensor::scalar(-5.0).gelu().item().abs() < 1e-3);
+    }
+
+    /// Reference GELU whose output and derivative each compute tanh from
+    /// `x`; the saved-tanh path must match it bit for bit.
+    fn gelu_recomputed(x: f32) -> (f32, f32) {
+        const C: f32 = 0.797_884_6;
+        let y = 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh());
+        let u = C * (x + 0.044715 * x * x * x);
+        let t = u.tanh();
+        let du = C * (1.0 + 3.0 * 0.044715 * x * x);
+        (y, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    }
+
+    #[test]
+    fn gelu_saved_tanh_matches_recomputed_formula_bitwise() {
+        let xs = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE / 2.0,
+            1e-3,
+            -0.5,
+            2.5,
+            -9.0,
+            30.0,
+            1e4,
+            -1e4,
+            1e13,
+            -1e13,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let seed: Vec<f32> = (0..xs.len()).map(|i| [1.0, -0.75, 3.5e-2][i % 3]).collect();
+        let a = Tensor::from_vec(xs.to_vec(), &[xs.len()]).requires_grad();
+        let y = a.gelu();
+        y.backward_with(&seed);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_y: Vec<f32> = xs.iter().map(|&x| gelu_recomputed(x).0).collect();
+        let want_g: Vec<f32> = xs
+            .iter()
+            .zip(&seed)
+            .map(|(&x, &g)| g * gelu_recomputed(x).1)
+            .collect();
+        assert_eq!(bits(&y.to_vec()), bits(&want_y), "forward");
+        assert_eq!(bits(&a.grad().unwrap()), bits(&want_g), "gradient");
+    }
+
+    #[test]
+    fn gelu_saves_its_tanh_only_when_tracked_under_grad() {
+        let _scope = crate::arena::enable();
+        let buffers_taken = |f: &dyn Fn() -> Tensor| {
+            let before = crate::arena::stats();
+            let y = f();
+            let after = crate::arena::stats();
+            (y, after.hits + after.misses - before.hits - before.misses)
+        };
+        let a = Tensor::from_vec(vec![-1.0, 0.5], &[2]).requires_grad();
+        let (y, n) = buffers_taken(&|| crate::no_grad(|| a.gelu()));
+        assert_eq!((y.is_tracked(), n), (false, 1), "no_grad: output only");
+        let (y, n) = buffers_taken(&|| a.detach().gelu());
+        assert_eq!((y.is_tracked(), n), (false, 1), "untracked: output only");
+        let (y, n) = buffers_taken(&|| a.gelu());
+        assert_eq!((y.is_tracked(), n), (true, 2), "tracked: output and tanh");
     }
 
     #[test]

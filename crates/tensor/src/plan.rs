@@ -22,6 +22,11 @@
 //!   replay drives the *original* backward closures over a dense slot
 //!   schedule that mirrors `run_backward`'s accumulation semantics
 //!   verbatim (same closure calls, same `simd::add_assign` ordering).
+//! * **Saved forward values**: an op whose backward reads a forward value
+//!   besides its parents and output (GELU keeps its tanh term) records
+//!   that buffer with its instruction. The op's thunk rewrites it on every
+//!   replay, and so does any fused kernel that elides the op; otherwise the
+//!   backward would read the traced step's values.
 //!
 //! ## Fusion
 //!
@@ -52,7 +57,7 @@ use std::thread::{self, ThreadId};
 
 use crate::arena;
 use crate::autograd;
-use crate::ops::unary::{gelu_scalar, relu_scalar};
+use crate::ops::unary::{gelu_replay, relu_scalar};
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -114,17 +119,26 @@ pub(crate) enum Attr {
 /// the output value. Must be arithmetic-identical to the eager op.
 type Thunk = Box<dyn Fn(&[Tensor]) -> Vec<f32> + Send + Sync>;
 
+/// Activation of a fused `conv → act` instruction.
+enum Act {
+    Relu,
+    /// `tanh` is the GELU op's saved tanh buffer, present when its backward
+    /// reads one; the fused kernel rewrites it as the op's thunk would.
+    Gelu {
+        tanh: Option<Tensor>,
+    },
+}
+
 /// How an instruction executes: plain single-op, or one of the fused
 /// chain kernels.
 enum Kind {
     Single,
     /// `conv → act`: the conv output is written (its value is read by both
     /// backward closures), then the activation is applied element-wise into
-    /// the activation output's buffer in place — one arena round-trip and
-    /// one dispatch saved per conv.
+    /// the activation output's buffer — one dispatch saved per conv.
     ConvAct {
         act_out: Tensor,
-        act: fn(f32) -> f32,
+        act: Act,
     },
     /// `matmul → mul_scalar`: scale the matmul buffer in place and write it
     /// to the scaled output only. The matmul slot is skipped — its sole
@@ -163,6 +177,10 @@ struct Instr {
     attr: Attr,
     out: Tensor,
     parents: Vec<Tensor>,
+    /// A forward value the op's backward reads besides its parents and
+    /// output (GELU's tanh). `run` rewrites it; a fused kernel that elides
+    /// the op must rewrite it too.
+    saved: Option<Tensor>,
     run: Thunk,
     kind: Kind,
 }
@@ -265,10 +283,36 @@ where
     if !is_tracing() {
         return;
     }
-    record_boxed(out, op, attr, parents, Box::new(f));
+    record_boxed(out, op, attr, parents, None, Box::new(f));
 }
 
-fn record_boxed(out: &Tensor, op: Op, attr: Attr, parents: &[&Tensor], run: Thunk) {
+/// [`record`] for an op whose backward also reads `saved`, a forward value
+/// that is neither a parent nor the output. `f` must rewrite `saved` along
+/// with returning the output, so a replayed backward reads fresh values.
+#[inline]
+pub(crate) fn record_saving<F>(
+    out: &Tensor,
+    op: Op,
+    parents: &[&Tensor],
+    saved: Option<Tensor>,
+    f: F,
+) where
+    F: Fn(&[Tensor]) -> Vec<f32> + Send + Sync + 'static,
+{
+    if !is_tracing() {
+        return;
+    }
+    record_boxed(out, op, Attr::None, parents, saved, Box::new(f));
+}
+
+fn record_boxed(
+    out: &Tensor,
+    op: Op,
+    attr: Attr,
+    parents: &[&Tensor],
+    saved: Option<Tensor>,
+    run: Thunk,
+) {
     TRACER.with(|t| {
         let mut slot = t.borrow_mut();
         let Some(st) = slot.as_mut() else { return };
@@ -289,6 +333,7 @@ fn record_boxed(out: &Tensor, op: Op, attr: Attr, parents: &[&Tensor], run: Thun
             attr,
             out: out.clone(),
             parents: parents.iter().map(|&p| p.clone()).collect(),
+            saved,
             run,
             kind: Kind::Single,
         });
@@ -455,8 +500,10 @@ fn fuse(mut instrs: Vec<Instr>, plan_outputs: &HashSet<u64>) -> (Vec<Instr>, usi
                     continue;
                 }
                 let act = match instrs[j].op {
-                    Op::Relu => relu_scalar as fn(f32) -> f32,
-                    Op::Gelu => gelu_scalar as fn(f32) -> f32,
+                    Op::Relu => Act::Relu,
+                    Op::Gelu => Act::Gelu {
+                        tanh: instrs[j].saved.clone(),
+                    },
                     _ => continue,
                 };
                 instrs[i].kind = Kind::ConvAct {
@@ -595,11 +642,14 @@ impl CompiledPlan {
                     let buf = (ins.run)(&ins.parents);
                     ins.out.swap_data(buf);
                     let src = ins.out.data();
-                    act_out.update_data(|dst| {
-                        for (d, &x) in dst.iter_mut().zip(src.iter()) {
-                            *d = act(x);
-                        }
-                    });
+                    match act {
+                        Act::Relu => act_out.update_data(|dst| {
+                            for (d, &x) in dst.iter_mut().zip(src.iter()) {
+                                *d = relu_scalar(x);
+                            }
+                        }),
+                        Act::Gelu { tanh } => act_out.swap_data(gelu_replay(&src, tanh.as_ref())),
+                    }
                 }
                 Kind::MatmulScale { scale_out, s } => {
                     let mut buf = (ins.run)(&ins.parents);

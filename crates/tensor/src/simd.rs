@@ -3,13 +3,17 @@
 //! ## Bit-exactness contract
 //!
 //! Every vector path here is **bit-identical** to the scalar path it
-//! replaces, for every input (including non-finite values): the vector
-//! bodies use separate multiply and add instructions — never FMA — so each
-//! element sees exactly the scalar operation sequence `round(round(s*b) + c)`
-//! and the per-element order of operations is unchanged. This is what lets
-//! the serial training trajectory stay bit-identical across machines with
-//! different SIMD capabilities, and what the proptest oracle suite in
-//! `tests/simd_oracle.rs` asserts (bitwise, not within-tolerance).
+//! replaces, for every input (including infinities, subnormals and signed
+//! zeros): the vector bodies use separate multiply and add instructions —
+//! never FMA — so each element sees exactly the scalar operation sequence
+//! `round(round(s*b) + c)` and the per-element order of operations is
+//! unchanged. This is what lets the serial training trajectory stay
+//! bit-identical across machines with different SIMD capabilities, and what
+//! the proptest oracle suite in `tests/simd_oracle.rs` asserts (bitwise, not
+//! within-tolerance). The one exception is the sign and payload of a NaN
+//! result, which Rust leaves unspecified: when two NaNs meet in an add, x86
+//! returns the first operand's, and the compiler may order the operands
+//! differently per path and per build. Where the NaNs are always agrees.
 //!
 //! ## Dispatch policy
 //!
@@ -161,6 +165,102 @@ unsafe fn axpy_sse2(c: &mut [f32], s: f32, b: &[f32]) {
     axpy_scalar(&mut c[i..n], s, &b[i..n]);
 }
 
+// ----- mm_tiles: register-tiled c += a · b -------------------------------
+
+/// Rows of one [`mm_tiles`] register tile.
+const TILE_M: usize = 4;
+/// Columns of one [`mm_tiles`] register tile (two 8-lane registers).
+const TILE_N: usize = 16;
+
+/// `c += a (m×k) · b (k×n)` over the full 4-row × 16-column tiles of `c`,
+/// each held in eight AVX2 registers for the whole `k` sweep. Returns how
+/// many leading rows and columns the tiles covered: `(0, 0)` below AVX2,
+/// where the caller's ikj loop does all the work, as it does for the tails.
+///
+/// Each element still sees `c + a[i, p]·b[p, j]` as a separate multiply
+/// then add, in ascending `p`, skipping exactly the `(i, p)` whose
+/// `a[i, p]` is zero: the operation sequence of the ikj axpy loop, so the
+/// result is bit-identical to it.
+pub(crate) fn mm_tiles(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> (usize, usize) {
+    let holds =
+        |len: usize, rows: usize, cols: usize| rows.checked_mul(cols).is_some_and(|e| len >= e);
+    assert!(
+        holds(a.len(), m, k) && holds(b.len(), k, n) && holds(c.len(), m, n),
+        "mm_tiles operands shorter than {m}x{k} · {k}x{n}"
+    );
+    let (mt, nt) = (m / TILE_M * TILE_M, n / TILE_N * TILE_N);
+    if mt == 0 || nt == 0 {
+        return (0, 0);
+    }
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            // SAFETY: active_level() only reports levels the CPU supports,
+            // and the assert above covers every element the tiles touch.
+            unsafe { mm_tiles_avx2(c, a, b, mt, k, n, nt) };
+            (mt, nt)
+        }
+        _ => (0, 0),
+    }
+}
+
+// SAFETY: caller must guarantee AVX2 (dispatcher-checked), `mt` and `nt`
+// multiples of the tile size with `mt <= m`, `nt <= n`, and operands of at
+// least `m·k`, `k·n` and `m·n` elements. Every access is then in bounds:
+// `a[(i + r)·k + p]` with `i + r < mt`, `p < k`; `b[p·n + j .. + 16]` and
+// `c[(i + r)·n + j .. + 16]` with `j + 16 <= nt`. `&mut c` rules out
+// aliasing with `a` and `b`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mm_tiles_avx2(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    mt: usize,
+    k: usize,
+    n: usize,
+    nt: usize,
+) {
+    use std::arch::x86_64::*;
+    let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    for i in (0..mt).step_by(TILE_M) {
+        for j in (0..nt).step_by(TILE_N) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; TILE_M];
+            for (r, row) in acc.iter_mut().enumerate() {
+                let cr = cp.add((i + r) * n + j);
+                *row = [_mm256_loadu_ps(cr), _mm256_loadu_ps(cr.add(8))];
+            }
+            for p in 0..k {
+                let br = bp.add(p * n + j);
+                let (b0, b1) = (_mm256_loadu_ps(br), _mm256_loadu_ps(br.add(8)));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = *ap.add((i + r) * k + p);
+                    // aimts-lint: allow(A004, exact-zero skip: the ikj loop skips the same (row, k) pairs, so a zero must not add its products)
+                    if av == 0.0 {
+                        continue;
+                    }
+                    // mul then add (no FMA), as in `axpy_avx2`.
+                    let vs = _mm256_set1_ps(av);
+                    row[0] = _mm256_add_ps(row[0], _mm256_mul_ps(vs, b0));
+                    row[1] = _mm256_add_ps(row[1], _mm256_mul_ps(vs, b1));
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                let cr = cp.add((i + r) * n + j);
+                _mm256_storeu_ps(cr, row[0]);
+                _mm256_storeu_ps(cr.add(8), row[1]);
+            }
+        }
+    }
+}
+
 // ----- add_assign: a[j] += b[j] -----------------------------------------
 
 /// `a[j] += b[j]` — gradient accumulation in the autograd sweep and the
@@ -310,6 +410,50 @@ mod tests {
                 let wb: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
                 let gb: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(gb, wb, "axpy level {l:?} diverged at n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn mm_tiles_match_scalar_ikj_on_their_block_only() {
+        for (m, k, n) in [(4, 1, 16), (5, 7, 17), (8, 3, 40), (12, 16, 33), (3, 5, 64)] {
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        (i as f32 * 0.37).sin()
+                    }
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos() * 3.0).collect();
+            let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
+            let mut want = c0.clone();
+            for i in 0..m {
+                for p in 0..k {
+                    let av = a[i * k + p];
+                    if av != 0.0 {
+                        axpy_scalar(&mut want[i * n..(i + 1) * n], av, &b[p * n..(p + 1) * n]);
+                    }
+                }
+            }
+            let mut got = c0.clone();
+            let (mt, nt) = mm_tiles(&mut got, &a, &b, m, k, n);
+            assert!(mt % TILE_M == 0 && mt <= m && nt % TILE_N == 0 && nt <= n);
+            for i in 0..m {
+                for j in 0..n {
+                    let tiled = i < mt && j < nt;
+                    let expect = if tiled {
+                        want[i * n + j]
+                    } else {
+                        c0[i * n + j]
+                    };
+                    assert_eq!(
+                        got[i * n + j].to_bits(),
+                        expect.to_bits(),
+                        "({m}x{k}x{n}) element ({i}, {j}), tiled: {tiled}"
+                    );
+                }
             }
         }
     }

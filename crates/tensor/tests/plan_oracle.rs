@@ -16,6 +16,8 @@
 //! * fused-chain *boundaries*: the same chains with a multi-consumer or
 //!   plan-output intermediate, where fusion must stand down;
 //! * conv→gelu fusion with backward;
+//! * the TS encoder's residual block over several rounds, whose unfused
+//!   `add → gelu` must rewrite GELU's saved tanh on every replay;
 //! * `NaN`/`±inf` inputs — replay must reproduce the eager bit patterns,
 //!   not sanitize them.
 
@@ -314,4 +316,54 @@ fn conv_gelu_fusion_is_bitwise() {
     assert_eq!(plan.output(0).item().to_bits(), loss.item().to_bits());
     assert_eq!(grad_bits(&w), grad_bits(&we));
     assert_eq!(grad_bits(&bias), grad_bits(&be));
+}
+
+/// The TS encoder's residual block (`DilatedBlock::forward` in
+/// `aimts::encoder`): the inner conv→gelu fuses, while the closing
+/// `add → gelu` replays as a plain GELU instruction whose thunk must
+/// rewrite the saved tanh. Every round feeds fresh inputs, so a stale tanh
+/// shows up in the gradients from the second round on.
+#[test]
+fn residual_add_gelu_replays_fresh_saved_tanh() {
+    use aimts_tensor::ops::Conv1dSpec;
+    let (b, c, l) = (2, 3, 10);
+    let spec = Conv1dSpec::same(3, 2);
+    let block = |x: &Tensor, p: &[Tensor; 4]| {
+        let h = x.conv1d(&p[0], Some(&p[1]), spec).gelu();
+        let h = h.conv1d(&p[2], Some(&p[3]), spec);
+        h.add(x).gelu().square().sum_all()
+    };
+    let init = [
+        Tensor::randn(&[c, c, 3], 11),
+        Tensor::randn(&[c], 12),
+        Tensor::randn(&[c, c, 3], 13),
+        Tensor::randn(&[c], 14),
+    ];
+    let params = || init.clone().map(|t| t.requires_grad());
+    let input = |round: u64| Tensor::randn(&[b, c, l], 100 + round).to_vec();
+
+    let traced = params();
+    let x = Tensor::from_vec(input(0), &[b, c, l]);
+    let plan =
+        plan::trace(std::slice::from_ref(&x), 1, || vec![block(&x, &traced)]).expect("trace");
+    assert!(plan.fused_count() >= 1, "inner conv→gelu should fuse");
+
+    for round in 1..=3 {
+        traced.iter().for_each(Tensor::zero_grad);
+        x.set_data(&input(round));
+        plan.run().expect("replay");
+        plan.backward();
+
+        let eager = params();
+        let loss = block(&Tensor::from_vec(input(round), &[b, c, l]), &eager);
+        loss.backward();
+        assert_eq!(
+            plan.output(0).item().to_bits(),
+            loss.item().to_bits(),
+            "round {round}: loss diverged"
+        );
+        for (pc, pe) in traced.iter().zip(&eager) {
+            assert_eq!(grad_bits(pc), grad_bits(pe), "round {round}: grad diverged");
+        }
+    }
 }

@@ -14,7 +14,11 @@
 //! The digests are stable across debug/release and SIMD levels because every
 //! kernel is bitwise-equal to its scalar oracle (see
 //! `crates/tensor/tests/simd_oracle.rs`) and rustc does not relax IEEE
-//! semantics at any opt-level.
+//! semantics at any opt-level. They are not portable to every machine:
+//! `f32::tanh`, `exp` and `ln` come from the platform libm, which need not
+//! round correctly, and the digests were recorded against glibc 2.36
+//! (`tanhf` in GELU, `expf`/`logf` in the losses). Another libm may move
+//! them without any bug in this repository.
 
 use aimts::{AimTs, AimTsConfig, Executor, PretrainConfig};
 use aimts_data::archives::monash_like_pool;
