@@ -1,31 +1,39 @@
 //! Broadcasting element-wise binary operations and scalar variants.
 
+use std::borrow::Cow;
+
 use crate::arena;
 use crate::plan;
-use crate::shape::{broadcast_shapes, broadcast_strides, numel, reduce_grad_to_shape, strides};
+use crate::shape::{broadcast_shapes, expand_to, numel, reduce_grad_to_shape};
 use crate::tensor::{read_pair, Tensor};
 
-/// Materialize `data` (of `shape`) broadcast to `target`.
-pub(crate) fn expand_to(data: &[f32], shape: &[usize], target: &[usize]) -> Vec<f32> {
+/// `data` (of `shape`) broadcast to `target`: borrowed when the shapes
+/// already match, otherwise an arena copy for [`recycle_expanded`].
+fn expanded<'a>(data: &'a [f32], shape: &[usize], target: &[usize]) -> Cow<'a, [f32]> {
     if shape == target {
-        return arena::copy_of(data);
+        Cow::Borrowed(data)
+    } else {
+        Cow::Owned(expand_to(data, shape, target))
     }
-    let bstr = broadcast_strides(shape, target);
-    let tstr = strides(target);
-    let n = numel(target);
-    let nd = target.len();
-    let mut out = arena::take(n);
-    for i in 0..n {
-        let mut rem = i;
-        let mut off = 0usize;
-        for d in 0..nd {
-            let id = rem / tstr[d];
-            rem %= tstr[d];
-            off += id * bstr[d];
-        }
-        out.push(data[off]);
+}
+
+/// Return an [`expanded`] copy to the arena.
+fn recycle_expanded(v: Cow<'_, [f32]>) {
+    if let Cow::Owned(v) = v {
+        arena::recycle(v);
     }
-    out
+}
+
+/// One parent's gradient: `g` (at the output shape `os`) collected and
+/// reduced to the parent's shape `to`.
+fn reduced_grad(g: impl Iterator<Item = f32>, os: &[usize], to: &[usize]) -> Vec<f32> {
+    let g = arena::map_collect(numel(os), g);
+    if os == to {
+        return g;
+    }
+    let r = reduce_grad_to_shape(&g, os, to);
+    arena::recycle(g);
+    r
 }
 
 /// Forward kernel for a broadcasting binary op.
@@ -39,15 +47,11 @@ fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> (Vec<f3
         )
     });
     let (ad, bd) = read_pair(a, b);
-    if a.shape() == b.shape() {
-        let out = arena::map_collect(ad.len(), ad.iter().zip(bd.iter()).map(|(&x, &y)| f(x, y)));
-        return (out, out_shape);
-    }
-    let ax = expand_to(&ad, a.shape(), &out_shape);
-    let bx = expand_to(&bd, b.shape(), &out_shape);
-    let out = arena::map_collect(ax.len(), ax.iter().zip(&bx).map(|(&x, &y)| f(x, y)));
-    arena::recycle(ax);
-    arena::recycle(bx);
+    let ax = expanded(&ad, a.shape(), &out_shape);
+    let bx = expanded(&bd, b.shape(), &out_shape);
+    let out = arena::map_collect(ax.len(), ax.iter().zip(bx.iter()).map(|(&x, &y)| f(x, y)));
+    recycle_expanded(ax);
+    recycle_expanded(bx);
     (out, out_shape)
 }
 
@@ -65,6 +69,36 @@ fn record_binary(
     });
 }
 
+/// Backward of `maximum` (`first_wins = |x, y| x >= y`) or `minimum`
+/// (`x <= y`): the gradient routes to the first argument where
+/// `first_wins`, else to the second.
+fn select_backward(
+    node: &Tensor,
+    gout: &[f32],
+    os: &[usize],
+    first_wins: impl Fn(f32, f32) -> bool,
+) -> Vec<Option<Vec<f32>>> {
+    let (a, b) = (&node.op_parents()[0], &node.op_parents()[1]);
+    let (ad, bd) = read_pair(a, b);
+    let ax = expanded(&ad, a.shape(), os);
+    let bx = expanded(&bd, b.shape(), os);
+    let first_wins = &first_wins;
+    let routed = |to_first: bool| {
+        gout.iter()
+            .zip(ax.iter().zip(bx.iter()))
+            .map(move |(&g, (&x, &y))| if first_wins(x, y) == to_first { g } else { 0.0 })
+    };
+    let ga = a
+        .is_tracked()
+        .then(|| reduced_grad(routed(true), os, a.shape()));
+    let gb = b
+        .is_tracked()
+        .then(|| reduced_grad(routed(false), os, b.shape()));
+    recycle_expanded(ax);
+    recycle_expanded(bx);
+    vec![ga, gb]
+}
+
 impl Tensor {
     /// Element-wise addition with NumPy broadcasting.
     pub fn add(&self, other: &Tensor) -> Tensor {
@@ -75,12 +109,13 @@ impl Tensor {
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                vec![
-                    Some(reduce_grad_to_shape(gout, &os, a.shape())),
-                    Some(reduce_grad_to_shape(gout, &os, b.shape())),
-                ]
+                node.op_parents()
+                    .iter()
+                    .map(|p| {
+                        p.is_tracked()
+                            .then(|| reduce_grad_to_shape(gout, &os, p.shape()))
+                    })
+                    .collect()
             }),
         );
         record_binary(&t, plan::Op::Add, self, other, |x, y| x + y);
@@ -96,12 +131,14 @@ impl Tensor {
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                let neg = arena::map_collect(gout.len(), gout.iter().map(|g| -g));
-                let gb = reduce_grad_to_shape(&neg, &os, b.shape());
-                arena::recycle(neg);
-                vec![Some(reduce_grad_to_shape(gout, &os, a.shape())), Some(gb)]
+                let (a, b) = (&node.op_parents()[0], &node.op_parents()[1]);
+                let ga = a
+                    .is_tracked()
+                    .then(|| reduce_grad_to_shape(gout, &os, a.shape()));
+                let gb = b
+                    .is_tracked()
+                    .then(|| reduced_grad(gout.iter().map(|g| -g), &os, b.shape()));
+                vec![ga, gb]
             }),
         );
         record_binary(&t, plan::Op::Sub, self, other, |x, y| x - y);
@@ -117,18 +154,18 @@ impl Tensor {
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                let ax = expand_to(&a.data(), a.shape(), &os);
-                let bx = expand_to(&b.data(), b.shape(), &os);
-                let ga = arena::map_collect(gout.len(), gout.iter().zip(&bx).map(|(g, y)| g * y));
-                let gb = arena::map_collect(gout.len(), gout.iter().zip(&ax).map(|(g, x)| g * x));
-                let gra = reduce_grad_to_shape(&ga, &os, a.shape());
-                let grb = reduce_grad_to_shape(&gb, &os, b.shape());
-                for v in [ax, bx, ga, gb] {
-                    arena::recycle(v);
-                }
-                vec![Some(gra), Some(grb)]
+                let (a, b) = (&node.op_parents()[0], &node.op_parents()[1]);
+                let (ad, bd) = read_pair(a, b);
+                // d(x·y)/dx = y and d(x·y)/dy = x.
+                let grad = |other: &[f32], other_shape: &[usize], to: &[usize]| {
+                    let ox = expanded(other, other_shape, &os);
+                    let g = reduced_grad(gout.iter().zip(ox.iter()).map(|(g, v)| g * v), &os, to);
+                    recycle_expanded(ox);
+                    g
+                };
+                let ga = a.is_tracked().then(|| grad(&bd, b.shape(), a.shape()));
+                let gb = b.is_tracked().then(|| grad(&ad, a.shape(), b.shape()));
+                vec![ga, gb]
             }),
         );
         record_binary(&t, plan::Op::Mul, self, other, |x, y| x * y);
@@ -144,23 +181,25 @@ impl Tensor {
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                let ax = expand_to(&a.data(), a.shape(), &os);
-                let bx = expand_to(&b.data(), b.shape(), &os);
-                let ga = arena::map_collect(gout.len(), gout.iter().zip(&bx).map(|(g, y)| g / y));
-                let gb = arena::map_collect(
-                    gout.len(),
-                    gout.iter()
-                        .zip(ax.iter().zip(&bx))
-                        .map(|(g, (x, y))| -g * x / (y * y)),
-                );
-                let gra = reduce_grad_to_shape(&ga, &os, a.shape());
-                let grb = reduce_grad_to_shape(&gb, &os, b.shape());
-                for v in [ax, bx, ga, gb] {
-                    arena::recycle(v);
-                }
-                vec![Some(gra), Some(grb)]
+                let (a, b) = (&node.op_parents()[0], &node.op_parents()[1]);
+                let (ad, bd) = read_pair(a, b);
+                let bx = expanded(&bd, b.shape(), &os);
+                let ga = a.is_tracked().then(|| {
+                    let g = gout.iter().zip(bx.iter()).map(|(g, y)| g / y);
+                    reduced_grad(g, &os, a.shape())
+                });
+                let gb = b.is_tracked().then(|| {
+                    let ax = expanded(&ad, a.shape(), &os);
+                    let g = gout
+                        .iter()
+                        .zip(ax.iter().zip(bx.iter()))
+                        .map(|(g, (x, y))| -g * x / (y * y));
+                    let g = reduced_grad(g, &os, b.shape());
+                    recycle_expanded(ax);
+                    g
+                });
+                recycle_expanded(bx);
+                vec![ga, gb]
             }),
         );
         record_binary(&t, plan::Op::Div, self, other, |x, y| x / y);
@@ -176,26 +215,7 @@ impl Tensor {
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
-            Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                let ax = expand_to(&a.data(), a.shape(), &os);
-                let bx = expand_to(&b.data(), b.shape(), &os);
-                let ga: Vec<f32> = gout
-                    .iter()
-                    .zip(ax.iter().zip(&bx))
-                    .map(|(g, (x, y))| if x >= y { *g } else { 0.0 })
-                    .collect();
-                let gb: Vec<f32> = gout
-                    .iter()
-                    .zip(ax.iter().zip(&bx))
-                    .map(|(g, (x, y))| if x >= y { 0.0 } else { *g })
-                    .collect();
-                vec![
-                    Some(reduce_grad_to_shape(&ga, &os, a.shape())),
-                    Some(reduce_grad_to_shape(&gb, &os, b.shape())),
-                ]
-            }),
+            Box::new(move |node, gout| select_backward(node, gout, &os, |x, y| x >= y)),
         );
         record_binary(&t, plan::Op::Maximum, self, other, f32::max);
         t
@@ -209,26 +229,7 @@ impl Tensor {
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
-            Box::new(move |node, gout| {
-                let a = &node.op_parents()[0];
-                let b = &node.op_parents()[1];
-                let ax = expand_to(&a.data(), a.shape(), &os);
-                let bx = expand_to(&b.data(), b.shape(), &os);
-                let ga: Vec<f32> = gout
-                    .iter()
-                    .zip(ax.iter().zip(&bx))
-                    .map(|(g, (x, y))| if x <= y { *g } else { 0.0 })
-                    .collect();
-                let gb: Vec<f32> = gout
-                    .iter()
-                    .zip(ax.iter().zip(&bx))
-                    .map(|(g, (x, y))| if x <= y { 0.0 } else { *g })
-                    .collect();
-                vec![
-                    Some(reduce_grad_to_shape(&ga, &os, a.shape())),
-                    Some(reduce_grad_to_shape(&gb, &os, b.shape())),
-                ]
-            }),
+            Box::new(move |node, gout| select_backward(node, gout, &os, |x, y| x <= y)),
         );
         record_binary(&t, plan::Op::Minimum, self, other, f32::min);
         t

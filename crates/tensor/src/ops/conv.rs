@@ -390,7 +390,8 @@ fn conv1d_forward_im2col(
 }
 
 /// Backward kernels: `gx` one batch element at a time, then `gw`/`gb`
-/// accumulated over the batch in order.
+/// accumulated over the batch in order. A `None` gradient (an untracked
+/// parent) is skipped.
 #[allow(clippy::too_many_arguments)]
 fn conv1d_backward_direct(
     x: &[f32],
@@ -398,12 +399,13 @@ fn conv1d_backward_direct(
     gout: &[f32],
     d: &Conv1dDims,
     spec: Conv1dSpec,
-    gx: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
+    gx: Option<&mut [f32]>,
+    mut gw: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
-    for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
+    let gx_rows = gx.into_iter().flat_map(|gx| gx.chunks_mut(cin * l));
+    for (bi, gxb) in gx_rows.enumerate() {
         let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
         for co in 0..cout {
             let gor = &gob[co * lo..(co + 1) * lo];
@@ -431,7 +433,12 @@ fn conv1d_backward_direct(
         let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
         for co in 0..cout {
             let gor = &gob[co * lo..(co + 1) * lo];
-            gb[co] += gor.iter().sum::<f32>();
+            if let Some(gb) = gb.as_deref_mut() {
+                gb[co] += gor.iter().sum::<f32>();
+            }
+            let Some(gw) = gw.as_deref_mut() else {
+                continue;
+            };
             for ci in 0..cin {
                 let xr = &xb[ci * l..(ci + 1) * l];
                 let gwr = &mut gw[(co * cin + ci) * k..(co * cin + ci + 1) * k];
@@ -460,28 +467,36 @@ fn conv1d_backward_im2col(
     gout: &[f32],
     d: &Conv1dDims,
     spec: Conv1dSpec,
-    gx: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
+    gx: Option<&mut [f32]>,
+    mut gw: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
     // grad input: gcol = W^T [C_in·K, C_out] · gout_b [C_out, L_out],
     // then fold columns back with col2im.
-    let wt = transpose2d(w, cout, cin * k);
-    for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
-        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-        let mut gcol = arena::zeroed(cin * k * lo);
-        mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
-        col2im1d(&gcol, gxb, cin, l, k, lo, spec);
-        arena::recycle(gcol);
+    if let Some(gx) = gx {
+        let wt = transpose2d(w, cout, cin * k);
+        for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
+            let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+            let mut gcol = arena::zeroed(cin * k * lo);
+            mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
+            col2im1d(&gcol, gxb, cin, l, k, lo, spec);
+            arena::recycle(gcol);
+        }
+        arena::recycle(wt);
     }
     // grad weight: gw += gout_b [C_out, L_out] · col_b^T [L_out, C_in·K].
     let mut col = arena::zeroed(cin * k * lo);
     for bi in 0..b {
         let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-        for co in 0..cout {
-            gb[co] += gob[co * lo..(co + 1) * lo].iter().sum::<f32>();
+        if let Some(gb) = gb.as_deref_mut() {
+            for co in 0..cout {
+                gb[co] += gob[co * lo..(co + 1) * lo].iter().sum::<f32>();
+            }
         }
+        let Some(gw) = gw.as_deref_mut() else {
+            continue;
+        };
         col.fill(0.0);
         im2col1d(
             &x[bi * cin * l..(bi + 1) * cin * l],
@@ -497,7 +512,6 @@ fn conv1d_backward_im2col(
         arena::recycle(colt);
     }
     arena::recycle(col);
-    arena::recycle(wt);
 }
 
 #[derive(Clone, Copy)]
@@ -602,13 +616,14 @@ fn conv2d_backward_direct(
     gout: &[f32],
     d: &Conv2dDims,
     spec: Conv2dSpec,
-    gx: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
+    gx: Option<&mut [f32]>,
+    mut gw: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
 ) {
     let (b, cin, h, w_, cout, kh, kw, ho, wo) =
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
-    for (bi, gxb) in gx.chunks_mut(cin * h * w_).enumerate() {
+    let gx_planes = gx.into_iter().flat_map(|gx| gx.chunks_mut(cin * h * w_));
+    for (bi, gxb) in gx_planes.enumerate() {
         let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
         for co in 0..cout {
             let gop = &gob[co * ho * wo..(co + 1) * ho * wo];
@@ -646,7 +661,12 @@ fn conv2d_backward_direct(
         let gob = &gout[bi * cout * ho * wo..(bi + 1) * cout * ho * wo];
         for co in 0..cout {
             let gop = &gob[co * ho * wo..(co + 1) * ho * wo];
-            gb[co] += gop.iter().sum::<f32>();
+            if let Some(gb) = gb.as_deref_mut() {
+                gb[co] += gop.iter().sum::<f32>();
+            }
+            let Some(gw) = gw.as_deref_mut() else {
+                continue;
+            };
             for ci in 0..cin {
                 let xp = &xb[ci * h * w_..(ci + 1) * h * w_];
                 let gwp = &mut gw[(co * cin + ci) * kh * kw..(co * cin + ci + 1) * kh * kw];
@@ -685,27 +705,35 @@ fn conv2d_backward_im2col(
     gout: &[f32],
     d: &Conv2dDims,
     spec: Conv2dSpec,
-    gx: &mut [f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
+    gx: Option<&mut [f32]>,
+    mut gw: Option<&mut [f32]>,
+    mut gb: Option<&mut [f32]>,
 ) {
     let (b, cin, h, w_, cout, kh, kw, ho, wo) =
         (d.b, d.cin, d.h, d.w, d.cout, d.kh, d.kw, d.ho, d.wo);
     let (rows, cols) = (cin * kh * kw, ho * wo);
-    let wt = transpose2d(w, cout, rows);
-    for (bi, gxb) in gx.chunks_mut(cin * h * w_).enumerate() {
-        let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];
-        let mut gcol = arena::zeroed(rows * cols);
-        mm_acc(&mut gcol, &wt, gob, rows, cout, cols);
-        col2im2d(&gcol, gxb, cin, h, w_, kh, kw, ho, wo, spec);
-        arena::recycle(gcol);
+    if let Some(gx) = gx {
+        let wt = transpose2d(w, cout, rows);
+        for (bi, gxb) in gx.chunks_mut(cin * h * w_).enumerate() {
+            let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];
+            let mut gcol = arena::zeroed(rows * cols);
+            mm_acc(&mut gcol, &wt, gob, rows, cout, cols);
+            col2im2d(&gcol, gxb, cin, h, w_, kh, kw, ho, wo, spec);
+            arena::recycle(gcol);
+        }
+        arena::recycle(wt);
     }
     let mut col = arena::zeroed(rows * cols);
     for bi in 0..b {
         let gob = &gout[bi * cout * cols..(bi + 1) * cout * cols];
-        for co in 0..cout {
-            gb[co] += gob[co * cols..(co + 1) * cols].iter().sum::<f32>();
+        if let Some(gb) = gb.as_deref_mut() {
+            for co in 0..cout {
+                gb[co] += gob[co * cols..(co + 1) * cols].iter().sum::<f32>();
+            }
         }
+        let Some(gw) = gw.as_deref_mut() else {
+            continue;
+        };
         col.fill(0.0);
         im2col2d(
             &x[bi * cin * h * w_..(bi + 1) * cin * h * w_],
@@ -724,12 +752,20 @@ fn conv2d_backward_im2col(
         arena::recycle(colt);
     }
     arena::recycle(col);
-    arena::recycle(wt);
 }
 
 // ---------------------------------------------------------------------------
 // Autograd wrappers
 // ---------------------------------------------------------------------------
+
+/// A zeroed gradient buffer of `n` elements for parent `i`, or `None` when
+/// that parent is absent (no bias) or untracked.
+fn tracked_grad(parents: &[Tensor], i: usize, n: usize) -> Option<Vec<f32>> {
+    parents
+        .get(i)
+        .filter(|p| p.is_tracked())
+        .map(|_| arena::zeroed(n))
+}
 
 impl Tensor {
     /// 1-D convolution.
@@ -820,19 +856,29 @@ impl Tensor {
             &[b, cout, lo],
             parents,
             Box::new(move |node, gout| {
-                let (x_ref, w_ref) = read_pair(&node.op_parents()[0], &node.op_parents()[1]);
-                let mut gx = arena::zeroed(b * cin * l);
-                let mut gw = arena::zeroed(cout * cin * k);
-                let mut gb = arena::zeroed(cout);
+                let ps = node.op_parents();
+                let (x_ref, w_ref) = read_pair(&ps[0], &ps[1]);
+                let mut gx = tracked_grad(ps, 0, b * cin * l);
+                let mut gw = tracked_grad(ps, 1, cout * cin * k);
+                let mut gb = tracked_grad(ps, 2, cout);
                 let backward = if im2col {
                     conv1d_backward_im2col
                 } else {
                     conv1d_backward_direct
                 };
-                backward(&x_ref, &w_ref, gout, &dims, spec, &mut gx, &mut gw, &mut gb);
-                let mut grads = vec![Some(gx), Some(gw)];
+                backward(
+                    &x_ref,
+                    &w_ref,
+                    gout,
+                    &dims,
+                    spec,
+                    gx.as_deref_mut(),
+                    gw.as_deref_mut(),
+                    gb.as_deref_mut(),
+                );
+                let mut grads = vec![gx, gw];
                 if has_bias {
-                    grads.push(Some(gb));
+                    grads.push(gb);
                 }
                 grads
             }),
@@ -968,19 +1014,29 @@ impl Tensor {
             &[b, cout, ho, wo],
             parents,
             Box::new(move |node, gout| {
-                let (x_ref, w_ref) = read_pair(&node.op_parents()[0], &node.op_parents()[1]);
-                let mut gx = arena::zeroed(b * cin * h * w_);
-                let mut gw = arena::zeroed(cout * cin * kh * kw);
-                let mut gb = arena::zeroed(cout);
+                let ps = node.op_parents();
+                let (x_ref, w_ref) = read_pair(&ps[0], &ps[1]);
+                let mut gx = tracked_grad(ps, 0, b * cin * h * w_);
+                let mut gw = tracked_grad(ps, 1, cout * cin * kh * kw);
+                let mut gb = tracked_grad(ps, 2, cout);
                 let backward = if im2col {
                     conv2d_backward_im2col
                 } else {
                     conv2d_backward_direct
                 };
-                backward(&x_ref, &w_ref, gout, &dims, spec, &mut gx, &mut gw, &mut gb);
-                let mut grads = vec![Some(gx), Some(gw)];
+                backward(
+                    &x_ref,
+                    &w_ref,
+                    gout,
+                    &dims,
+                    spec,
+                    gx.as_deref_mut(),
+                    gw.as_deref_mut(),
+                    gb.as_deref_mut(),
+                );
+                let mut grads = vec![gx, gw];
                 if has_bias {
-                    grads.push(Some(gb));
+                    grads.push(gb);
                 }
                 grads
             }),

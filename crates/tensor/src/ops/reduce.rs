@@ -12,6 +12,38 @@ fn axis_split(shape: &[usize], axis: usize) -> (usize, usize, usize) {
     (outer, shape[axis], inner)
 }
 
+/// Rows a last-axis reduction runs side by side. Each row is one
+/// dependent chain of adds or compares; interleaving independent rows
+/// keeps the FPU busy while every row still sees its own order.
+const ROWS: usize = 8;
+
+/// Sum of `d`, viewed as `[outer, ax, inner]`, over its middle axis. Each
+/// output element starts at 0.0 and adds its `ax` inputs in ascending
+/// order. Shared by the eager op and its replay thunk.
+fn sum_axis_kernel(d: &[f32], outer: usize, ax: usize, inner: usize) -> Vec<f32> {
+    let mut out = arena::zeroed(outer * inner);
+    let blocked = if inner == 1 { outer / ROWS * ROWS } else { 0 };
+    for o in (0..blocked).step_by(ROWS) {
+        let mut acc = [0f32; ROWS];
+        for a in 0..ax {
+            for (r, s) in acc.iter_mut().enumerate() {
+                *s += d[(o + r) * ax + a];
+            }
+        }
+        out[o..o + ROWS].copy_from_slice(&acc);
+    }
+    for o in blocked..outer {
+        for a in 0..ax {
+            let base = (o * ax + a) * inner;
+            let obase = o * inner;
+            for i in 0..inner {
+                out[obase + i] += d[base + i];
+            }
+        }
+    }
+    out
+}
+
 fn reduced_shape(shape: &[usize], axis: usize, keepdim: bool) -> Vec<usize> {
     let mut s = shape.to_vec();
     if keepdim {
@@ -27,13 +59,11 @@ impl Tensor {
     pub fn sum_all(&self) -> Tensor {
         let s: f32 = self.data().iter().sum();
         let n = self.numel();
-        let shape = self.shape().to_vec();
         let t = Tensor::from_op(
             vec![s],
             &[],
             vec![self.clone()],
             Box::new(move |_, gout| {
-                let _ = &shape;
                 let mut g = arena::take(n);
                 g.resize(n, gout[0]);
                 vec![Some(g)]
@@ -57,31 +87,23 @@ impl Tensor {
     /// Sum along `axis`.
     pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Tensor {
         let (outer, ax, inner) = axis_split(self.shape(), axis);
-        let d = self.data();
-        let mut out = arena::zeroed(outer * inner);
-        for o in 0..outer {
-            for a in 0..ax {
-                let base = (o * ax + a) * inner;
-                let obase = o * inner;
-                for i in 0..inner {
-                    out[obase + i] += d[base + i];
-                }
-            }
-        }
-        drop(d);
+        let out = sum_axis_kernel(&self.data(), outer, ax, inner);
         let oshape = reduced_shape(self.shape(), axis, keepdim);
         let t = Tensor::from_op(
             out,
             &oshape,
             vec![self.clone()],
             Box::new(move |node, gout| {
-                let n = node.op_parents()[0].numel();
-                let mut g = arena::zeroed(n);
-                for o in 0..outer {
-                    for a in 0..ax {
-                        let base = (o * ax + a) * inner;
-                        let obase = o * inner;
-                        g[base..base + inner].copy_from_slice(&gout[obase..obase + inner]);
+                // Every input element receives a copy of its output's
+                // gradient: whole rows of one value when `inner == 1`.
+                let mut g = arena::take(node.op_parents()[0].numel());
+                for src in gout.chunks_exact(inner.max(1)) {
+                    if inner == 1 {
+                        g.resize(g.len() + ax, src[0]);
+                    } else {
+                        for _ in 0..ax {
+                            g.extend_from_slice(src);
+                        }
                     }
                 }
                 vec![Some(g)]
@@ -95,20 +117,7 @@ impl Tensor {
                 keep: keepdim,
             },
             &[self],
-            move |ps| {
-                let d = ps[0].data();
-                let mut out = arena::zeroed(outer * inner);
-                for o in 0..outer {
-                    for a in 0..ax {
-                        let base = (o * ax + a) * inner;
-                        let obase = o * inner;
-                        for i in 0..inner {
-                            out[obase + i] += d[base + i];
-                        }
-                    }
-                }
-                out
-            },
+            move |ps| sum_axis_kernel(&ps[0].data(), outer, ax, inner),
         );
         t
     }
@@ -130,7 +139,23 @@ impl Tensor {
             let mut out = arena::take(outer * inner);
             out.resize(outer * inner, f32::NEG_INFINITY);
             let mut arg = vec![0usize; outer * inner];
-            for o in 0..outer {
+            let blocked = if inner == 1 { outer / ROWS * ROWS } else { 0 };
+            for o in (0..blocked).step_by(ROWS) {
+                let mut best = [f32::NEG_INFINITY; ROWS];
+                let mut at = [0usize; ROWS];
+                for a in 0..ax {
+                    for r in 0..ROWS {
+                        let i = (o + r) * ax + a;
+                        if d[i] > best[r] {
+                            best[r] = d[i];
+                            at[r] = i;
+                        }
+                    }
+                }
+                out[o..o + ROWS].copy_from_slice(&best);
+                arg[o..o + ROWS].copy_from_slice(&at);
+            }
+            for o in blocked..outer {
                 for a in 0..ax {
                     let base = (o * ax + a) * inner;
                     let obase = o * inner;
@@ -256,6 +281,50 @@ mod tests {
         assert_eq!(m.to_vec(), vec![9., 4.]);
         m.sum_all().backward();
         assert_eq!(a.grad().unwrap(), vec![0., 1., 1., 0.]);
+    }
+
+    /// The last-axis kernels run 8 rows side by side, then a tail. Pin
+    /// them to a row-by-row reference: sums in each row's order from 0.0,
+    /// the first arg-max on a tie, and a row with nothing above −inf,
+    /// whose gradient lands on flat element 0 as it always has.
+    #[test]
+    fn last_axis_sum_and_max_match_row_by_row_reference() {
+        let (rows, len) = (19, 5);
+        let mut d = Tensor::randn(&[rows * len], 7).to_vec();
+        d[3 * len + 1] = 9.0;
+        d[3 * len + 3] = 9.0;
+        d[5 * len..6 * len].fill(f32::NEG_INFINITY);
+        d[12 * len..13 * len].fill(-0.0);
+        d[14 * len..15 * len].copy_from_slice(&[-0.0, 0.0, -0.0, 0.0, -0.0]);
+        d[17 * len..18 * len].copy_from_slice(&[0.1, -0.1, 1e8, -1e8, 3.0]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let seed: Vec<f32> = (0..rows).map(|r| r as f32 - 4.5).collect();
+        let mut want_sum = Vec::new();
+        let mut want_max = Vec::new();
+        let mut want_max_grad = vec![0.0f32; rows * len];
+        for (r, row) in d.chunks(len).enumerate() {
+            want_sum.push(row.iter().fold(0.0f32, |acc, &v| acc + v));
+            let (mut best, mut at) = (f32::NEG_INFINITY, 0);
+            for (i, &v) in row.iter().enumerate() {
+                if v > best {
+                    (best, at) = (v, r * len + i);
+                }
+            }
+            want_max.push(best);
+            want_max_grad[at] += seed[r];
+        }
+        let want_sum_grad: Vec<f32> = seed.iter().flat_map(|&g| [g; 5]).collect();
+
+        let x = Tensor::from_vec(d.clone(), &[rows, len]).requires_grad();
+        let s = x.sum_axis(1, false);
+        assert_eq!(bits(&s.to_vec()), bits(&want_sum), "sum");
+        s.backward_with(&seed);
+        assert_eq!(bits(&x.grad().unwrap()), bits(&want_sum_grad), "sum grad");
+        let x = Tensor::from_vec(d, &[rows, len]).requires_grad();
+        let m = x.max_axis(1, false);
+        assert_eq!(bits(&m.to_vec()), bits(&want_max), "max");
+        m.backward_with(&seed);
+        assert_eq!(bits(&x.grad().unwrap()), bits(&want_max_grad), "max grad");
     }
 
     #[test]

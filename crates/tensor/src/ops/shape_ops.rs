@@ -301,7 +301,7 @@ impl Tensor {
 
     /// Broadcast (expand) to `target` shape, materializing the data.
     pub fn broadcast_to(&self, target: &[usize]) -> Tensor {
-        let data = super::binary::expand_to(&self.data(), self.shape(), target);
+        let data = crate::shape::expand_to(&self.data(), self.shape(), target);
         let from = self.shape().to_vec();
         let tgt = target.to_vec();
         let t = Tensor::from_op(
@@ -318,7 +318,7 @@ impl Tensor {
             plan::Op::BroadcastTo,
             plan::Attr::None,
             &[self],
-            move |ps| super::binary::expand_to(&ps[0].data(), ps[0].shape(), &tgt),
+            move |ps| crate::shape::expand_to(&ps[0].data(), ps[0].shape(), &tgt),
         );
         t
     }

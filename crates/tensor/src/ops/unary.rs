@@ -3,6 +3,7 @@
 use crate::arena;
 use crate::autograd;
 use crate::plan;
+use crate::simd;
 use crate::tensor::{read_pair, Tensor};
 
 /// Scalar ReLU shared by the eager op and the fused conv→act plan kernel.
@@ -14,11 +15,10 @@ pub(crate) fn relu_scalar(x: f32) -> f32 {
 /// sqrt(2/pi), the scale inside GELU's tanh approximation.
 const GELU_C: f32 = 0.797_884_6;
 
-/// GELU's tanh term `tanh(C·(x + 0.044715·x³))`: the one libm call per
-/// element, shared by the output and the derivative.
+/// The argument `C·(x + 0.044715·x³)` of GELU's tanh term.
 #[inline]
-fn gelu_tanh(x: f32) -> f32 {
-    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+fn gelu_tanh_arg(x: f32) -> f32 {
+    GELU_C * (x + 0.044715 * x * x * x)
 }
 
 /// GELU output from `x` and its tanh term `t`.
@@ -37,14 +37,20 @@ fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
 /// GELU over `x`, plus the tanh terms when `save` is set (the backward
 /// will read them). Shared by the eager op and [`gelu_replay`], so eager
 /// and replayed steps write identical bits.
+///
+/// The tanh terms are computed in place by [`simd::tanh`]; unsaved, their
+/// buffer is overwritten with the output, so the op takes one buffer.
 fn gelu_forward(x: &[f32], save: bool) -> (Vec<f32>, Option<Vec<f32>>) {
-    if !save {
-        let y = x.iter().map(|&v| gelu_from_tanh(v, gelu_tanh(v)));
-        return (arena::map_collect(x.len(), y), None);
+    let mut t = arena::map_collect(x.len(), x.iter().map(|&v| gelu_tanh_arg(v)));
+    simd::tanh(&mut t);
+    if save {
+        let y = x.iter().zip(&t).map(|(&v, &tv)| gelu_from_tanh(v, tv));
+        return (arena::map_collect(x.len(), y), Some(t));
     }
-    let t = arena::map_collect(x.len(), x.iter().map(|&v| gelu_tanh(v)));
-    let y = x.iter().zip(&t).map(|(&v, &tv)| gelu_from_tanh(v, tv));
-    (arena::map_collect(x.len(), y), Some(t))
+    for (tv, &v) in t.iter_mut().zip(x) {
+        *tv = gelu_from_tanh(v, *tv);
+    }
+    (t, None)
 }
 
 /// Recompute GELU over `x` in a replay, rewriting the op's saved tanh

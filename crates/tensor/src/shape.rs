@@ -1,4 +1,8 @@
-//! Shape and stride arithmetic shared by every kernel.
+//! Shape and stride arithmetic shared by every kernel, and the broadcast
+//! kernels built on it.
+
+use crate::arena;
+use crate::simd;
 
 /// A tensor shape: dimension sizes in row-major order.
 pub type Shape = Vec<usize>;
@@ -69,37 +73,87 @@ pub fn broadcast_strides(shape: &[usize], target: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Call `row(off)` for each row of the last dimension of `big`, in
+/// row-major order, where `off` is the offset of the row's first element
+/// in a tensor whose strides within `big` are `strides` (0 on broadcast
+/// dimensions). The outer index advances like an odometer, so no element
+/// pays a division. A rank-0 `big` is one row.
+fn for_each_row(big: &[usize], strides: &[usize], mut row: impl FnMut(usize)) {
+    if numel(big) == 0 {
+        return;
+    }
+    let outer = big.len().saturating_sub(1);
+    let mut idx = vec![0usize; outer];
+    let mut off = 0usize;
+    loop {
+        row(off);
+        let mut d = outer;
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            idx[d] += 1;
+            off += strides[d];
+            if idx[d] < big[d] {
+                break;
+            }
+            off -= strides[d] * big[d];
+            idx[d] = 0;
+        }
+    }
+}
+
+/// Materialize `data` (of `shape`) broadcast to `target`: each output row
+/// is a contiguous copy of a source row, or one source value repeated.
+pub(crate) fn expand_to(data: &[f32], shape: &[usize], target: &[usize]) -> Vec<f32> {
+    if shape == target {
+        return arena::copy_of(data);
+    }
+    let bstr = broadcast_strides(shape, target);
+    let n = target.last().copied().unwrap_or(1);
+    let contiguous = bstr.last() == Some(&1);
+    let mut out = arena::take(numel(target));
+    for_each_row(target, &bstr, |off| {
+        if contiguous {
+            out.extend_from_slice(&data[off..off + n]);
+        } else {
+            out.resize(out.len() + n, data[off]);
+        }
+    });
+    out
+}
+
 /// Reduce a gradient computed at the broadcast `from` shape back to `to`.
 ///
 /// Sums over every axis that was expanded (including leading axes that did
-/// not exist in `to`). This is the standard broadcast-backward rule.
+/// not exist in `to`). This is the standard broadcast-backward rule. Every
+/// output element starts at 0.0 and adds its contributions in ascending
+/// `grad` order: a whole row at a time with [`simd::add_assign`] when the
+/// last axis was kept, one running sum per row when it was expanded.
 pub fn reduce_grad_to_shape(grad: &[f32], from: &[usize], to: &[usize]) -> Vec<f32> {
     debug_assert_eq!(grad.len(), numel(from));
     if from == to {
-        return grad.to_vec();
+        return arena::copy_of(grad);
     }
-    let to_elems = numel(to);
-    let mut out = vec![0f32; to_elems];
-    let to_strides_in_from = broadcast_strides(to, from);
-    let from_strides = strides(from);
-    // Walk every element of `from`, mapping its multi-index onto `to`.
-    let nd = from.len();
-    let mut idx = vec![0usize; nd];
-    for (i, &g) in grad.iter().enumerate() {
-        // Decompose i into the multi-index (kept incremental for speed).
-        let mut rem = i;
-        let mut to_off = 0usize;
-        for d in 0..nd {
-            idx[d] = rem / from_strides[d];
-            rem %= from_strides[d];
-            to_off += idx[d] * to_strides_in_from[d];
+    let tstr = broadcast_strides(to, from);
+    let n = from.last().copied().unwrap_or(1);
+    let kept = tstr.last() == Some(&1);
+    let mut out = arena::zeroed(numel(to));
+    let mut start = 0;
+    for_each_row(from, &tstr, |off| {
+        let row = &grad[start..start + n];
+        start += n;
+        if kept {
+            simd::add_assign(&mut out[off..off + n], row);
+        } else {
+            let mut s = out[off];
+            for &g in row {
+                s += g;
+            }
+            out[off] = s;
         }
-        // `to_strides_in_from` has stride 0 on expanded dims, so `to_off`
-        // indexes `out` correctly, but it was computed with broadcast
-        // strides of `to` *inside from-space*; those equal real strides of
-        // `to` wherever the dim exists.
-        out[to_off] += g;
-    }
+    });
     out
 }
 
@@ -123,6 +177,107 @@ pub fn ravel(idx: &[usize], shape: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The div/mod [`expand_to`] the row walk replaced: the reference the
+    /// new kernel must match bit for bit.
+    fn expand_to_reference(data: &[f32], shape: &[usize], target: &[usize]) -> Vec<f32> {
+        if shape == target {
+            return data.to_vec();
+        }
+        let bstr = broadcast_strides(shape, target);
+        let tstr = strides(target);
+        let n = numel(target);
+        let nd = target.len();
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut rem = i;
+            let mut off = 0usize;
+            for d in 0..nd {
+                let id = rem / tstr[d];
+                rem %= tstr[d];
+                off += id * bstr[d];
+            }
+            out.push(data[off]);
+        }
+        out
+    }
+
+    /// The div/mod [`reduce_grad_to_shape`] the row walk replaced.
+    fn reduce_grad_to_shape_reference(grad: &[f32], from: &[usize], to: &[usize]) -> Vec<f32> {
+        if from == to {
+            return grad.to_vec();
+        }
+        let mut out = vec![0f32; numel(to)];
+        let to_strides_in_from = broadcast_strides(to, from);
+        let from_strides = strides(from);
+        let nd = from.len();
+        for (i, &g) in grad.iter().enumerate() {
+            let mut rem = i;
+            let mut to_off = 0usize;
+            for d in 0..nd {
+                to_off += rem / from_strides[d] * to_strides_in_from[d];
+                rem %= from_strides[d];
+            }
+            out[to_off] += g;
+        }
+        out
+    }
+
+    /// Gradient-like values: wide finite values, plus ±0.0 and ±1.0 so
+    /// sums cancel to signed zeros.
+    fn value() -> impl Strategy<Value = f32> {
+        (
+            0u8..4,
+            -100f32..100f32,
+            prop::sample::select(vec![0.0f32, -0.0, 1.0, -1.0]),
+        )
+            .prop_map(|(sel, v, s)| if sel < 2 { v } else { s })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random broadcastable pairs: `big` of rank 0-4 (now and then with
+        /// an empty dimension), `small` dropping `lead` leading dimensions
+        /// and setting any of the rest to 1.
+        #[test]
+        fn broadcast_kernels_match_div_mod_reference_bitwise(
+            big in prop::collection::vec(1usize..5, 0..5),
+            empty in 0usize..24,
+            lead in 0usize..5,
+            keep in prop::collection::vec(0usize..3, 4..=4),
+            vals in prop::collection::vec(value(), 256..=256),
+        ) {
+            let mut big = big;
+            if let Some(d) = big.get_mut(empty) {
+                *d = 0;
+            }
+            let lead = lead.min(big.len());
+            let small: Vec<usize> = big[lead..]
+                .iter()
+                .zip(&keep)
+                .map(|(&d, &k)| if k == 0 { 1 } else { d })
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let data = &vals[..numel(&small)];
+            prop_assert_eq!(
+                bits(&expand_to(data, &small, &big)),
+                bits(&expand_to_reference(data, &small, &big)),
+                "expand {:?} -> {:?}",
+                small,
+                big
+            );
+            let grad = &vals[..numel(&big)];
+            prop_assert_eq!(
+                bits(&reduce_grad_to_shape(grad, &big, &small)),
+                bits(&reduce_grad_to_shape_reference(grad, &big, &small)),
+                "reduce {:?} -> {:?}",
+                big,
+                small
+            );
+        }
+    }
 
     #[test]
     fn strides_row_major() {

@@ -4,10 +4,10 @@
 //!
 //! Every vector path here is **bit-identical** to the scalar path it
 //! replaces, for every input (including infinities, subnormals and signed
-//! zeros): the vector bodies use separate multiply and add instructions —
-//! never FMA — so each element sees exactly the scalar operation sequence
-//! `round(round(s*b) + c)` and the per-element order of operations is
-//! unchanged. This is what lets the serial training trajectory stay
+//! zeros): the vector bodies use separate multiply, add, subtract and
+//! divide instructions — never FMA — so each element sees exactly the
+//! scalar operation sequence (`round(round(s*b) + c)` for `axpy`) and the
+//! per-element order of operations is unchanged. This is what lets the serial training trajectory stay
 //! bit-identical across machines with different SIMD capabilities, and what
 //! the proptest oracle suite in `tests/simd_oracle.rs` asserts (bitwise, not
 //! within-tolerance). The one exception is the sign and payload of a NaN
@@ -383,6 +383,282 @@ unsafe fn scale_assign_sse2(a: &mut [f32], s: f32) {
     scale_assign_scalar(&mut a[i..n], s);
 }
 
+// ----- tanh: a[j] = tanh(a[j]) ------------------------------------------
+
+// Constants of glibc 2.36's `s_expm1f.c` and `s_tanhf.c`, by bit pattern.
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+/// `expm1f`'s scaled polynomial coefficients Q1..Q5.
+const EXPM1_Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+const HUGE: f32 = 1.0e30;
+const TINY: f32 = 1.0e-30;
+
+/// `a[j] = tanh(a[j])` in place, rounded exactly as glibc 2.36's `tanhf`
+/// rounds it — GELU's tanh term.
+///
+/// [`tanh_scalar`] ports fdlibm's `tanhf` and the part of `expm1f` it
+/// calls, as glibc 2.36 builds them for x86_64 (plain SSE, no FMA): the
+/// same constants, the same operations in the same order, one rounding
+/// each. It equals that `tanhf` bit for bit on all 2^32 inputs (a NaN
+/// only as a NaN), so GELU gives the same bits whatever the host libm.
+/// The AVX2 path evaluates every branch for 8 lanes with separate mul,
+/// add, sub and div, then picks each lane's branch with blends; SSE2 runs
+/// the scalar port. `tests/simd_oracle.rs` pins a recorded glibc table at
+/// every level and, in an ignored test, compares all 2^32 inputs with the
+/// host's `f32::tanh`.
+#[inline]
+pub fn tanh(a: &mut [f32]) {
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_level() only reports levels the CPU supports.
+        Level::Avx2 => unsafe { tanh_avx2(a) },
+        _ => tanh_scalar(a),
+    }
+}
+
+/// Scalar oracle for [`tanh`].
+pub fn tanh_scalar(a: &mut [f32]) {
+    for v in a.iter_mut() {
+        *v = tanhf(*v);
+    }
+}
+
+/// glibc 2.36 `tanhf`. Its `x == ±0` early return is folded into the
+/// `|x| < 2^-55` branch, which returns the same signed zero.
+fn tanhf(x: f32) -> f32 {
+    let jx = x.to_bits();
+    let ix = jx & 0x7fff_ffff;
+    let neg = jx >> 31 == 1;
+    if ix >= 0x7f80_0000 {
+        // tanh(±inf) = ±1, tanh(NaN) = NaN.
+        return if neg { 1.0 / x - 1.0 } else { 1.0 / x + 1.0 };
+    }
+    let z = if ix >= 0x41b0_0000 {
+        // |x| >= 22
+        1.0 - TINY
+    } else if ix < 0x2400_0000 {
+        // |x| < 2^-55
+        return x * (1.0 + x);
+    } else if ix >= 0x3f80_0000 {
+        // |x| >= 1
+        let t = expm1f(2.0 * x.abs());
+        1.0 - 2.0 / (t + 2.0)
+    } else {
+        let t = expm1f(-2.0 * x.abs());
+        -t / (t + 2.0)
+    };
+    if neg {
+        -z
+    } else {
+        z
+    }
+}
+
+/// glibc 2.36 `expm1f` over the arguments [`tanhf`] passes it: `2|x|` in
+/// [2, 44) and `-2|x|` in (-2, -2^-54]. No such argument reaches its
+/// overflow and non-finite filters or its k = 1 and k = 128 cases, so the
+/// port leaves them out.
+fn expm1f(x: f32) -> f32 {
+    debug_assert!((2.0..44.0).contains(&x) || (-2.0..0.0).contains(&x));
+    let hx = x.to_bits() & 0x7fff_ffff;
+    // Reduce to x = k·ln2 + r, with r = hi - lo and c its rounding error.
+    let (r, c, k) = if hx > 0x3eb1_7218 {
+        // |x| > 0.5·ln2
+        let (hi, lo, k) = if hx < 0x3f85_1592 {
+            // |x| < 1.5·ln2, which only a negative argument reaches.
+            (x + LN2_HI, -LN2_LO, -1)
+        } else {
+            let k = (INVLN2 * x + if x < 0.0 { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (x - t * LN2_HI, t * LN2_LO, k)
+        };
+        let r = hi - lo;
+        (r, (hi - r) - lo, k)
+    } else if hx < 0x3300_0000 {
+        // |x| < 2^-25: expm1(x) rounds to x.
+        let t = HUGE + x;
+        return x - (t - (HUGE + x));
+    } else {
+        (x, 0.0, 0)
+    };
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let hfx = 0.5 * r;
+    let hxs = r * hfx;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - r * t));
+    if k == 0 {
+        return r - (r * e - hxs);
+    }
+    let e = r * (e - c) - c - hxs;
+    if k == -1 {
+        return 0.5 * (r - e) - 0.5;
+    }
+    // Multiply by 2^k by adding k to the exponent field, as glibc does.
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    if k <= -2 || k > 56 {
+        scale(1.0 - (e - r)) - 1.0
+    } else if k < 23 {
+        let t = f32::from_bits(0x3f80_0000 - (0x0100_0000 >> k)); // 1 - 2^-k
+        scale(t - (e - r))
+    } else {
+        let t = f32::from_bits(((0x7f - k) << 23) as u32); // 2^-k
+        scale(r - (e + t) + 1.0)
+    }
+}
+
+// SAFETY: caller must guarantee AVX2 (dispatcher-checked); unaligned
+// 8-lane loads/stores are bounded by `n = a.len()`, so `ptr.add(i)` with
+// `i + 8 <= n` stays inside the single `&mut` slice.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tanh_avx2(a: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n = a.len();
+    let ap = a.as_mut_ptr();
+    let mut i = 0;
+    while i + 8 <= n {
+        _mm256_storeu_ps(ap.add(i), tanh8_avx2(_mm256_loadu_ps(ap.add(i))));
+        i += 8;
+    }
+    tanh_scalar(&mut a[i..n]);
+}
+
+/// [`tanhf`] on 8 lanes. Every lane computes every branch's value with the
+/// scalar port's operations, in its order, and keeps the one its input
+/// selects; the other branches' values (NaN, inf or garbage included) are
+/// blended away. `k` is formed per lane as [`expm1f`] forms it. k = -1
+/// and k = 0 then reuse the general reduction: with `t = -1`,
+/// `x - t·ln2_hi` and `t·ln2_lo` are exactly `x + ln2_hi` and `-ln2_lo`,
+/// and with `t = 0` the reduction leaves `r = x`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tanh8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
+    let jx = _mm256_castps_si256(x);
+    let ix = _mm256_and_si256(jx, abs_mask);
+    let sign = _mm256_castsi256_ps(_mm256_andnot_si256(abs_mask, jx));
+    let ix_above = |bits: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(bits)));
+
+    // u = 2|x| where |x| >= 1, else -2|x|.
+    let ge1 = ix_above(0x3f7f_ffff);
+    let ax = _mm256_castsi256_ps(ix);
+    let u = _mm256_blendv_ps(
+        _mm256_mul_ps(_mm256_set1_ps(-2.0), ax),
+        _mm256_mul_ps(_mm256_set1_ps(2.0), ax),
+        ge1,
+    );
+
+    // expm1(u): u is negative exactly where |x| < 1.
+    let hu = _mm256_and_si256(_mm256_castps_si256(u), abs_mask);
+    let half = _mm256_blendv_ps(_mm256_set1_ps(-0.5), _mm256_set1_ps(0.5), ge1);
+    let k_trunc = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(INVLN2), u),
+        half,
+    ));
+    // k = -1 where |u| < 1.5·ln2, then k = 0 where |u| <= 0.5·ln2.
+    let near = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3f85_1592), hu);
+    let k = _mm256_blendv_epi8(k_trunc, _mm256_set1_epi32(-1), near);
+    let k = _mm256_and_si256(k, _mm256_cmpgt_epi32(hu, _mm256_set1_epi32(0x3eb1_7218)));
+    let t = _mm256_cvtepi32_ps(k);
+    let hi = _mm256_sub_ps(u, _mm256_mul_ps(t, _mm256_set1_ps(LN2_HI)));
+    let lo = _mm256_mul_ps(t, _mm256_set1_ps(LN2_LO));
+    let r = _mm256_sub_ps(hi, lo);
+    let c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+    let hfx = _mm256_mul_ps(_mm256_set1_ps(0.5), r);
+    let hxs = _mm256_mul_ps(r, hfx);
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let mut p = _mm256_mul_ps(hxs, _mm256_set1_ps(q5));
+    for q in [q4, q3, q2, q1] {
+        p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(q), p));
+    }
+    let r1 = _mm256_add_ps(_mm256_set1_ps(1.0), p);
+    let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(r, t)),
+        ),
+    );
+    // One candidate result per branch of `expm1f`, selected below.
+    let k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+    let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+    let k_m1 = _mm256_sub_ps(
+        _mm256_mul_ps(_mm256_set1_ps(0.5), _mm256_sub_ps(r, e)),
+        _mm256_set1_ps(0.5),
+    );
+    let k_exp = _mm256_slli_epi32::<23>(k);
+    let scale = |y: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), k_exp));
+    let one = _mm256_set1_ps(1.0);
+    // k <= -2 or k > 56.
+    let k_far = _mm256_sub_ps(scale(_mm256_sub_ps(one, _mm256_sub_ps(e, r))), one);
+    // 3 <= k < 23, with t = 1 - 2^-k.
+    let t_mid = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f80_0000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+    ));
+    let k_mid = scale(_mm256_sub_ps(t_mid, _mm256_sub_ps(e, r)));
+    // 23 <= k <= 56, with t = 2^-k.
+    let t_high = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x7f),
+        k,
+    )));
+    let k_high = scale(_mm256_add_ps(
+        _mm256_sub_ps(r, _mm256_add_ps(e, t_high)),
+        one,
+    ));
+    // |u| < 2^-25.
+    let huge_u = _mm256_add_ps(_mm256_set1_ps(HUGE), u);
+    let tiny_u = _mm256_sub_ps(
+        u,
+        _mm256_sub_ps(huge_u, _mm256_add_ps(_mm256_set1_ps(HUGE), u)),
+    );
+    let k_is = |v: i32| _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(v)));
+    let k_below = |v: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(v), k));
+    let k_above = |v: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, _mm256_set1_epi32(v)));
+    let mut em = _mm256_blendv_ps(k_high, k_mid, k_below(23));
+    em = _mm256_blendv_ps(em, k_far, _mm256_or_ps(k_below(-1), k_above(56)));
+    em = _mm256_blendv_ps(em, k_m1, k_is(-1));
+    em = _mm256_blendv_ps(em, k0, k_is(0));
+    let u_tiny = _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(0x3300_0000), hu));
+    em = _mm256_blendv_ps(em, tiny_u, u_tiny);
+
+    // tanh from em = expm1(u): 1 - 2/(em + 2) where |x| >= 1, else
+    // -em/(em + 2); one division serves both.
+    let num = _mm256_blendv_ps(
+        _mm256_xor_ps(em, _mm256_set1_ps(-0.0)),
+        _mm256_set1_ps(2.0),
+        ge1,
+    );
+    let q = _mm256_div_ps(num, _mm256_add_ps(em, _mm256_set1_ps(2.0)));
+    let z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), ge1);
+    let z = _mm256_blendv_ps(
+        z,
+        _mm256_sub_ps(one, _mm256_set1_ps(TINY)),
+        ix_above(0x41af_ffff),
+    );
+    let z = _mm256_xor_ps(z, sign);
+    let small = _mm256_mul_ps(x, _mm256_add_ps(one, x));
+    let z = _mm256_blendv_ps(
+        z,
+        small,
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(0x2400_0000), ix)),
+    );
+    // ±inf and NaN: 1/x + 1 or 1/x - 1, the second as 1/x + (-1).
+    let nonfinite = _mm256_add_ps(_mm256_div_ps(one, x), _mm256_or_ps(one, sign));
+    _mm256_blendv_ps(z, nonfinite, ix_above(0x7f7f_ffff))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +732,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tanh_all_levels_bitwise_equal_with_tail() {
+        // One input per branch of the port, plus specials, cycled so each
+        // lands in the 8-lane body and in the scalar tail.
+        let inputs = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -1e-20,
+            3e-9,
+            -0.1,
+            0.3,
+            -0.8,
+            1.0,
+            -4.5,
+            12.0,
+            -20.5,
+            22.0,
+            f32::MAX,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for n in [0usize, 1, 7, 8, 9, 17, 33] {
+            let base: Vec<f32> = (0..n).map(|i| inputs[i % inputs.len()]).collect();
+            let mut want = base.clone();
+            tanh_scalar(&mut want);
+            for l in levels() {
+                force_level(Some(l));
+                let mut got = base.clone();
+                tanh(&mut got);
+                force_level(None);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "tanh level {l:?} diverged at n={n}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tanh_port_fixed_points() {
+        let mut v = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            22.0,
+            -1e4,
+            f32::NAN,
+        ];
+        tanh_scalar(&mut v);
+        let bits: Vec<u32> = v[..6].iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u32> = [0.0f32, -0.0, 1.0, -1.0, 1.0, -1.0]
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+        assert!(v[6].is_nan());
     }
 
     #[test]

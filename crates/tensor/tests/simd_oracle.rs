@@ -9,6 +9,11 @@
 //! Levels are pinned per thread with `simd::force_level`; a forced level
 //! the CPU lacks clamps to the detected maximum, so on a scalar-only host
 //! every comparison degenerates to scalar-vs-scalar and still passes.
+//!
+//! `simd::tanh` has a second contract: it must round exactly as glibc
+//! 2.36's `tanhf` does. A table and a sweep digest recorded from that
+//! `tanhf` pin it at every level on any host; an ignored test compares all
+//! 2^32 inputs with the host's `f32::tanh`.
 
 use aimts_tensor::ops::{Conv1dSpec, Conv2dSpec};
 use aimts_tensor::{simd, Tensor};
@@ -67,7 +72,211 @@ fn bits_nan_canonical(xs: &[f32]) -> Vec<u32> {
         .collect()
 }
 
+/// `(input bits, output bits)` of glibc 2.36's `tanhf` on x86_64, recorded
+/// through `f32::tanh`. At least one input per branch of the port: ±0,
+/// subnormals, `|x| < 2^-55`, and through `expm1f(±2|x|)` its
+/// `|u| < 2^-25` case and k = 0, -1, <= -2, 3..22, 23..56 and > 56; then
+/// `|x| >= 22`, ±inf and NaN (a NaN output is held to being a NaN).
+const TANHF_GLIBC_2_36: [(u32, u32); 46] = [
+    (0x0000_0000, 0x0000_0000), // +0
+    (0x8000_0000, 0x8000_0000), // -0
+    (0x0000_0001, 0x0000_0001), // smallest subnormal
+    (0x807f_ffff, 0x807f_ffff), // largest negative subnormal
+    (0x0040_0000, 0x0040_0000), // f32::MIN_POSITIVE / 2
+    (0x2180_0000, 0x2180_0000), // 2^-60
+    (0xa380_0000, 0xa380_0000), // -2^-56
+    (0x23ff_ffff, 0x23ff_ffff), // just below 2^-55
+    (0x2400_0000, 0x2400_0000), // 2^-55: expm1, |u| < 2^-25
+    (0x2edb_e6ff, 0x2edb_e6ff), // 1e-10
+    (0xb14e_288f, 0xb14e_288f), // -3e-9
+    (0x327f_ffff, 0x327f_ffff), // just below 2^-26
+    (0x3280_0000, 0x3280_0000), // 2^-26: k = 0
+    (0x3727_c5ac, 0x3727_c5ac), // 1e-5
+    (0xbd4c_cccd, 0xbd4c_a128), // -0.05
+    (0x3dcc_cccd, 0x3dcc_1ebc), // 0.1
+    (0x3e2e_147b, 0x3e2c_6c15), // 0.17
+    (0x3e4c_cccd, 0x3e4a_1cc2), // 0.2: k = -1
+    (0xbe80_0000, 0xbe7a_cbf5), // -0.25
+    (0x3ecc_cccd, 0x3ec2_88ac), // 0.4
+    (0xbf00_0000, 0xbeec_9a9f), // -0.5
+    (0x3f19_999a, 0x3f09_7c15), // 0.6: k = -2
+    (0xbf40_0000, 0xbf22_991f), // -0.75
+    (0x3f66_6666, 0x3f37_5f4c), // 0.9: k = -3
+    (0x3f7f_ffff, 0x3f42_f7d5), // just below 1
+    (0x3f80_0000, 0x3f42_f7d6), // 1: k = 3
+    (0xbfc0_0000, 0xbf67_b7cc), // -1.5: k = 4
+    (0x4040_0000, 0x3f7e_bbe9), // 3: k = 9
+    (0x40a0_0000, 0x3f7f_fa0d), // 5: k = 14
+    (0xc0f0_0000, 0xbf7f_fff6), // -7.5: k = 22
+    (0x4100_0000, 0x3f7f_fffc), // 8: k = 23
+    (0x4108_0000, 0x3f7f_ffff), // 8.5: k = 25
+    (0xc120_0000, 0xbf80_0000), // -10: k = 29
+    (0x4170_0000, 0x3f80_0000), // 15: k = 43
+    (0x4198_0000, 0x3f80_0000), // 19: k = 55
+    (0x41a0_0000, 0x3f80_0000), // 20: k = 58
+    (0xc1a8_0000, 0xbf80_0000), // -21: k = 61
+    (0x41af_ffff, 0x3f80_0000), // just below 22: k = 63
+    (0x41b0_0000, 0x3f80_0000), // 22
+    (0xc1b0_0000, 0xbf80_0000), // -22
+    (0x7f7f_ffff, 0x3f80_0000), // f32::MAX
+    (0xff7f_ffff, 0xbf80_0000), // f32::MIN
+    (0x7f80_0000, 0x3f80_0000), // +inf
+    (0xff80_0000, 0xbf80_0000), // -inf
+    (0x7fc0_0000, 0x7fc0_0000), // NaN
+    (0x7f80_0001, 0x7fc0_0001), // signalling NaN
+];
+
+/// Bitwise equality, except that any NaN equals any NaN.
+fn same_tanh(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+/// Every table entry, at every level, in every lane position: the table
+/// is run from each of its first eight offsets, so each entry passes
+/// through each lane of the 8-lane body and through the scalar tail.
+#[test]
+fn tanh_matches_pinned_glibc_table_at_every_level() {
+    let xs: Vec<f32> = TANHF_GLIBC_2_36
+        .iter()
+        .map(|&(x, _)| f32::from_bits(x))
+        .collect();
+    for level in LEVELS {
+        for start in 0..8 {
+            let mut got = xs[start..].to_vec();
+            at_level(level, || simd::tanh(&mut got));
+            for (g, &(x, want)) in got.iter().zip(&TANHF_GLIBC_2_36[start..]) {
+                assert!(
+                    same_tanh(*g, f32::from_bits(want)),
+                    "tanh({x:#010x}) = {:#010x} at {level:?}, glibc has {want:#010x}",
+                    g.to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// FNV-1a over the bits of glibc 2.36's `tanhf`, recorded through
+/// `f32::tanh`, at [`tanh_sweep`]'s inputs.
+const TANHF_GLIBC_2_36_SWEEP_FNV: u64 = 0xe863_4b94_eea4_115b;
+
+/// About a million inputs across the whole `expm1f` range,
+/// `2^-55 <= |x| < 22`: every 499th bit pattern, every other one negated.
+/// The table pins each branch; this pins the rounding inside them, which
+/// a single reordered or fused operation changes for some inputs only.
+fn tanh_sweep() -> Vec<f32> {
+    (0x2400_0000u32..0x41b0_0000)
+        .step_by(499)
+        .enumerate()
+        .map(|(i, b)| f32::from_bits(if i % 2 == 1 { b | 0x8000_0000 } else { b }))
+        .collect()
+}
+
+#[test]
+fn tanh_matches_pinned_glibc_sweep_digest_at_every_level() {
+    let xs = tanh_sweep();
+    for level in LEVELS {
+        let mut y = xs.clone();
+        at_level(level, || simd::tanh(&mut y));
+        let fnv = y.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x1000_0000_01b3)
+        });
+        assert_eq!(fnv, TANHF_GLIBC_2_36_SWEEP_FNV, "sweep digest at {level:?}");
+    }
+}
+
+/// All 2^32 inputs through the port, at the scalar level and at the
+/// widest one, against the host's `f32::tanh`. A host whose `tanhf`
+/// disagrees with the pinned glibc table (another libm) is skipped
+/// loudly: the table above is the contract there. Run it in release:
+/// `cargo test --release -p aimts-tensor --test simd_oracle -- --ignored
+/// tanh_port_matches_host_libm_exhaustively`.
+#[test]
+#[ignore = "2^32 inputs: run in release, about a minute on 2 cores"]
+fn tanh_port_matches_host_libm_exhaustively() {
+    let host_is_glibc = TANHF_GLIBC_2_36
+        .iter()
+        .all(|&(x, y)| same_tanh(f32::from_bits(x).tanh(), f32::from_bits(y)));
+    if !host_is_glibc {
+        eprintln!(
+            "SKIPPED tanh_port_matches_host_libm_exhaustively: the host's f32::tanh \
+             disagrees with the pinned glibc 2.36 table, so this libm is not the \
+             one the port reproduces"
+        );
+        return;
+    }
+    const CHUNK: u64 = 1 << 12;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let chunks = (1u64 << 32) / CHUNK;
+    let mismatches: Vec<u32> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut bad = Vec::new();
+                    for c in (t..chunks).step_by(threads as usize) {
+                        let xs: Vec<f32> = (c * CHUNK..(c + 1) * CHUNK)
+                            .map(|b| f32::from_bits(b as u32))
+                            .collect();
+                        let run = |level| {
+                            let mut v = xs.clone();
+                            at_level(level, || simd::tanh(&mut v));
+                            v
+                        };
+                        let (scalar, widest) = (run(simd::Level::Scalar), run(simd::Level::Avx2));
+                        for (i, &x) in xs.iter().enumerate() {
+                            let want = x.tanh();
+                            if !(same_tanh(scalar[i], want) && same_tanh(widest[i], want)) {
+                                bad.push(x.to_bits());
+                            }
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker panicked"))
+            .collect()
+    });
+    assert!(
+        mismatches.is_empty(),
+        "{} inputs differ from the host tanhf, first {:#010x?}",
+        mismatches.len(),
+        &mismatches[..mismatches.len().min(8)]
+    );
+}
+
 proptest! {
+    /// `simd::tanh` agrees bitwise across every dispatch level on `element()`
+    /// slices and on scaled `randn` slices (which reach every branch of the
+    /// port), at lengths that leave a scalar tail after the 8-lane body.
+    #[test]
+    fn tanh_matches_scalar_bitwise(
+        mixed in prop::collection::vec(element(), 1..130),
+        blocks in 0usize..16,
+        tail in 1usize..8,
+        scale in prop::sample::select(vec![1e-9f32, 0.1, 1.0, 10.0]),
+        seed in 0u64..1000,
+    ) {
+        let mixed = &mixed[..mixed.len() - usize::from(mixed.len() % 8 == 0)];
+        let gaussian: Vec<f32> = Tensor::randn(&[blocks * 8 + tail], seed)
+            .to_vec()
+            .iter()
+            .map(|v| v * scale)
+            .collect();
+        for xs in [mixed, &gaussian[..]] {
+            let run = |level| {
+                let mut v = xs.to_vec();
+                at_level(level, || simd::tanh(&mut v));
+                bits_nan_canonical(&v)
+            };
+            let reference = run(simd::Level::Scalar);
+            for level in LEVELS {
+                prop_assert_eq!(&reference, &run(level), "tanh diverged at {:?} (n={})", level, xs.len());
+            }
+        }
+    }
+
     /// `c += s * b` agrees bitwise across every dispatch level, for every
     /// length (vector body + scalar tail) and value mix.
     #[test]

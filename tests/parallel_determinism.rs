@@ -14,11 +14,12 @@
 //! The digests are stable across debug/release and SIMD levels because every
 //! kernel is bitwise-equal to its scalar oracle (see
 //! `crates/tensor/tests/simd_oracle.rs`) and rustc does not relax IEEE
-//! semantics at any opt-level. They are not portable to every machine:
-//! `f32::tanh`, `exp` and `ln` come from the platform libm, which need not
-//! round correctly, and the digests were recorded against glibc 2.36
-//! (`tanhf` in GELU, `expf`/`logf` in the losses). Another libm may move
-//! them without any bug in this repository.
+//! semantics at any opt-level. GELU's tanh is `simd::tanh`, an in-repo port
+//! of glibc 2.36's `tanhf`, so it gives the same bits under any libm. The
+//! digests are still not portable to every machine: `exp` and `ln` come
+//! from the platform libm, which need not round correctly, and the digests
+//! were recorded against glibc 2.36 (`expf`/`logf` in the losses). Another
+//! libm may move them without any bug in this repository.
 
 use aimts::{AimTs, AimTsConfig, Executor, PretrainConfig};
 use aimts_data::archives::monash_like_pool;
