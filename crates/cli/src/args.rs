@@ -25,6 +25,14 @@ impl Args {
         Ok(Args { map })
     }
 
+    /// The first flag (in key order) that is in none of the `known` sets.
+    pub fn unknown_flag(&self, known: &[&[&str]]) -> Option<&str> {
+        self.map
+            .keys()
+            .map(String::as_str)
+            .find(|k| !known.iter().any(|set| set.contains(k)))
+    }
+
     pub fn get(&self, key: &str) -> Option<&str> {
         self.map.get(key).map(|s| s.as_str())
     }

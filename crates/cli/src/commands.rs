@@ -31,8 +31,7 @@ USAGE:
                      [--checkpoint-dir <dir>] [--checkpoint-every 1]
                      [--keep-last 3] [--resume <ckpt.aimts|dir>]
                      [--clip-norm <f32>] [--max-bad-steps 5]
-                     [--max-rollbacks 2] [--executor eager|compiled]
-                     --out <ckpt.json>
+                     [--max-rollbacks 2] --out <ckpt.json>
       Multi-source pre-train AimTS on a Monash-like pool, save a checkpoint.
       --workers 0 (default) resolves the data-parallel thread count from the
       AIMTS_THREADS environment variable, then available cores; 1 is serial.
@@ -46,20 +45,20 @@ USAGE:
       (off by default); a non-finite loss or gradient always skips the step;
       --max-bad-steps consecutive skips roll back to the last good epoch
       boundary, and training aborts only after --max-rollbacks rollbacks.
-      --executor compiled traces each step shape once and replays it as a
-      flat compiled plan (bit-identical to eager, lower per-step overhead).
   aimts-cli finetune --ckpt <ckpt.json> --data-dir <dir> --name <Dataset>
                      [--epochs 40] [--hidden 16] [--repr 32]
                      [--missing-values reject|impute-linear|impute-zero]
-                     [--clip-norm <f32>] [--executor eager|compiled]
+                     [--clip-norm <f32>] [--save-bundle <bundle.aimts>]
       Fine-tune a checkpoint on a UCR-TSV dataset; prints accuracy + confusion.
       --missing-values controls NaN/inf cells in the TSV: reject (default)
       fails the load naming the exact cell; the impute policies repair gaps
       by linear interpolation or zero-filling before training.
   aimts-cli demo --dataset <ecg200|starlight|epilepsy|fdb|gesture|emg>
-                 [--epochs 40] [--seed 3407] [--executor eager|compiled]
+                 [--epochs 40] [--seed 3407] [--hidden 16] [--repr 32]
+                 [--clip-norm <f32>] [--save-bundle <bundle.aimts>]
       Fine-tune from random init on a built-in synthetic dataset.
-  aimts-cli render --dataset <name as in demo> [--index 0] --out <img.ppm>
+  aimts-cli render --dataset <name as in demo> [--index 0] [--seed 3407]
+                   --out <img.ppm>
       Render a sample as the RGB line chart the image encoder sees.
   aimts-cli info --archive <ucr|uea> [--n 4] [--seed 42]
       Print summary statistics of a synthetic archive.
@@ -67,13 +66,14 @@ USAGE:
       Export a built-in dataset (incl. multivariate) as a JSON file that
       `aimts_data::loader::load_json` reads back.
   aimts-cli serve [--model <bundle.aimts>] [--addr 127.0.0.1:7878]
-                  [--dataset ecg200] [--epochs 5] [--max-batch 64]
+                  [--dataset ecg200] [--epochs 5] [--seed 3407]
+                  [--hidden 16] [--repr 32] [--max-batch 64]
                   [--max-delay-us 2000] [--queue-cap 4096]
                   [--admission-timeout-ms 1000] [--default-deadline-ms <ms>]
                   [--max-inflight 2] [--inference-threads 1]
                   [--breaker-threshold 3] [--breaker-cooldown-ms 500]
                   [--read-timeout-ms 30000] [--write-timeout-ms 10000]
-                  [--max-frame-bytes 1048576] [--executor eager|compiled]
+                  [--max-frame-bytes 1048576]
       Start the micro-batching inference server on a JSON-lines TCP socket.
       --model loads a serving bundle (write one with `demo --save-bundle` or
       `finetune --save-bundle`); without it a demo model is trained in
@@ -94,27 +94,126 @@ USAGE:
         {\"cmd\":\"shutdown\"}                  drain, answer, then stop
   aimts-cli loadgen [--model <bundle.aimts>] [--dataset ecg200]
                     [--requests 10000] [--clients 4] [--epochs 5]
+                    [--seed 3407] [--hidden 16] [--repr 32]
                     [--deadline-ms <ms>] [--min-sheds 0]
                     [--max-batch 64] [--max-delay-us 2000]
                     [--queue-cap 4096] [--admission-timeout-ms 1000]
-                    [--max-inflight 2] [--inference-threads 1]
-                    [--executor eager|compiled]
+                    [--default-deadline-ms <ms>] [--max-inflight 2]
+                    [--inference-threads 1] [--breaker-threshold 3]
+                    [--breaker-cooldown-ms 500]
       Drive the in-process server with synthetic load and write latency
       percentiles + throughput + overload outcomes (shed / deadline /
       failed / lost) to bench_results/serve_load.json. Fails if any
       accepted request was lost, or fewer than --min-sheds submissions
       were shed (saturation smoke tests assert sheds happen).
-      `demo` and `finetune` accept --save-bundle <path> to produce the
-      serving bundle both commands load with --model.
   aimts-cli help
+
+Every flag takes a value. A flag the command does not read is an error.
 ";
 
-/// Parse `--executor eager|compiled` (default eager).
-fn executor(args: &Args) -> Result<Executor, String> {
-    match args.str_or("executor", "eager") {
-        "eager" => Ok(Executor::Eager),
-        "compiled" => Ok(Executor::Compiled),
-        other => Err(format!("unknown executor `{other}` (use eager|compiled)")),
+/// Flags [`model_config`] reads.
+const MODEL_FLAGS: &[&str] = &["hidden", "repr"];
+
+/// Flags [`batch_policy`] reads.
+const BATCH_FLAGS: &[&str] = &[
+    "max-batch",
+    "max-delay-us",
+    "queue-cap",
+    "admission-timeout-ms",
+    "default-deadline-ms",
+    "max-inflight",
+    "inference-threads",
+    "breaker-threshold",
+    "breaker-cooldown-ms",
+];
+
+/// Flags [`serve_registry`] reads besides [`MODEL_FLAGS`].
+const REGISTRY_FLAGS: &[&str] = &["model", "dataset", "seed", "epochs"];
+
+/// The flags each command reads.
+const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
+    ("generate", &[&["archive", "n", "seed", "out"]]),
+    (
+        "pretrain",
+        &[
+            &[
+                "pool-per-source",
+                "epochs",
+                "lr",
+                "seed",
+                "workers",
+                "out",
+                "checkpoint-dir",
+                "checkpoint-every",
+                "keep-last",
+                "resume",
+                "clip-norm",
+                "max-bad-steps",
+                "max-rollbacks",
+            ],
+            MODEL_FLAGS,
+        ],
+    ),
+    (
+        "finetune",
+        &[
+            &[
+                "ckpt",
+                "data-dir",
+                "name",
+                "epochs",
+                "missing-values",
+                "clip-norm",
+                "save-bundle",
+            ],
+            MODEL_FLAGS,
+        ],
+    ),
+    (
+        "demo",
+        &[
+            &["dataset", "epochs", "seed", "clip-norm", "save-bundle"],
+            MODEL_FLAGS,
+        ],
+    ),
+    ("render", &[&["dataset", "index", "seed", "out"]]),
+    ("info", &[&["archive", "n", "seed"]]),
+    ("export-json", &[&["dataset", "seed", "out"]]),
+    (
+        "serve",
+        &[
+            &[
+                "addr",
+                "read-timeout-ms",
+                "write-timeout-ms",
+                "max-frame-bytes",
+            ],
+            BATCH_FLAGS,
+            REGISTRY_FLAGS,
+            MODEL_FLAGS,
+        ],
+    ),
+    (
+        "loadgen",
+        &[
+            &["requests", "clients", "deadline-ms", "min-sheds"],
+            BATCH_FLAGS,
+            REGISTRY_FLAGS,
+            MODEL_FLAGS,
+        ],
+    ),
+];
+
+/// Fail when `args` holds a flag `cmd` does not read, so a mistyped or
+/// retired flag stops the command before it does any work.
+fn check_flags(cmd: &str, args: &Args) -> Result<(), String> {
+    let known = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .map_or(&[][..], |(_, flags)| *flags);
+    match args.unknown_flag(known) {
+        Some(flag) => Err(format!("`{cmd}` does not take `--{flag}`")),
+        None => Ok(()),
     }
 }
 
@@ -143,6 +242,7 @@ fn named_dataset(name: &str, seed: u64) -> Result<Dataset, String> {
 
 /// `generate`: write a synthetic archive to disk in UCR TSV format.
 pub fn generate(args: &Args) -> Result<(), String> {
+    check_flags("generate", args)?;
     let archive = args.str_or("archive", "ucr");
     let n = args.parse_or("n", 4usize)?;
     let seed = args.parse_or("seed", 42u64)?;
@@ -199,6 +299,7 @@ fn resolve_resume(path: PathBuf) -> Result<PathBuf, String> {
 
 /// `pretrain`: multi-source pre-training to a JSON checkpoint.
 pub fn pretrain(args: &Args) -> Result<(), String> {
+    check_flags("pretrain", args)?;
     let per_source = args.parse_or("pool-per-source", 8usize)?;
     let epochs = args.parse_or("epochs", 2usize)?;
     let lr = args.parse_or("lr", 1e-3f32)?;
@@ -243,7 +344,6 @@ pub fn pretrain(args: &Args) -> Result<(), String> {
                 workers,
                 checkpoint,
                 health,
-                executor: executor(args)?,
                 ..PretrainConfig::default()
             },
         )
@@ -267,7 +367,6 @@ fn finetune_and_report(
     ds: &Dataset,
     epochs: usize,
     health: HealthPolicy,
-    executor: Executor,
 ) -> Result<FineTuned, String> {
     println!(
         "dataset `{}`: {} train / {} test, {} classes, {} vars x {} steps",
@@ -282,7 +381,6 @@ fn finetune_and_report(
         epochs,
         batch_size: 8,
         health,
-        executor,
         ..FineTuneConfig::default()
     };
     let tuned = model.fine_tune(ds, &fcfg);
@@ -323,6 +421,7 @@ fn health_policy(args: &Args) -> Result<HealthPolicy, String> {
 
 /// `finetune`: load checkpoint + UCR-TSV dataset, fine-tune, report.
 pub fn finetune(args: &Args) -> Result<(), String> {
+    check_flags("finetune", args)?;
     let ckpt = PathBuf::from(args.required("ckpt")?);
     let dir = PathBuf::from(args.required("data-dir")?);
     let name = args.required("name")?;
@@ -338,23 +437,25 @@ pub fn finetune(args: &Args) -> Result<(), String> {
         )
     })?;
     let ds = load_ucr_tsv_with(Path::new(&dir), name, missing).map_err(|e| e.to_string())?;
-    let tuned = finetune_and_report(&model, &ds, epochs, health_policy(args)?, executor(args)?)?;
+    let tuned = finetune_and_report(&model, &ds, epochs, health_policy(args)?)?;
     maybe_save_bundle(&tuned, args)
 }
 
 /// `demo`: built-in synthetic dataset, fine-tune from random init.
 pub fn demo(args: &Args) -> Result<(), String> {
+    check_flags("demo", args)?;
     let name = args.str_or("dataset", "ecg200");
     let epochs = args.parse_or("epochs", 40usize)?;
     let seed = args.parse_or("seed", 3407u64)?;
     let ds = named_dataset(name, seed)?;
     let model = AimTs::new(model_config(args)?, seed);
-    let tuned = finetune_and_report(&model, &ds, epochs, health_policy(args)?, executor(args)?)?;
+    let tuned = finetune_and_report(&model, &ds, epochs, health_policy(args)?)?;
     maybe_save_bundle(&tuned, args)
 }
 
 /// `info`: print archive summary statistics.
 pub fn info(args: &Args) -> Result<(), String> {
+    check_flags("info", args)?;
     let archive = args.str_or("archive", "ucr");
     let n = args.parse_or("n", 4usize)?;
     let seed = args.parse_or("seed", 42u64)?;
@@ -369,6 +470,7 @@ pub fn info(args: &Args) -> Result<(), String> {
 
 /// `export-json`: write a built-in dataset as JSON (supports multivariate).
 pub fn export_json(args: &Args) -> Result<(), String> {
+    check_flags("export-json", args)?;
     let name = args.str_or("dataset", "gesture");
     let seed = args.parse_or("seed", 3407u64)?;
     let out = PathBuf::from(args.required("out")?);
@@ -438,10 +540,9 @@ fn net_policy(args: &Args) -> Result<NetPolicy, String> {
 /// Build the model registry for `serve`/`loadgen`: load `--model <bundle>`
 /// when given, otherwise fine-tune a demo model in process on `--dataset`.
 fn serve_registry(args: &Args) -> Result<ModelRegistry, String> {
-    let executor = executor(args)?;
     if let Some(path) = args.get("model") {
         let path = PathBuf::from(path);
-        return ModelRegistry::from_bundle(&path, executor)
+        return ModelRegistry::from_bundle(&path)
             .map_err(|e| format!("loading bundle {} failed: {e}", path.display()));
     }
     let name = args.str_or("dataset", "ecg200");
@@ -455,19 +556,19 @@ fn serve_registry(args: &Args) -> Result<ModelRegistry, String> {
         &FineTuneConfig {
             epochs,
             batch_size: 8,
-            executor,
             ..FineTuneConfig::default()
         },
     );
     Ok(ModelRegistry::from_tuned(
         &tuned,
-        executor,
+        Executor::Eager,
         &format!("demo:{name}"),
     ))
 }
 
 /// `serve`: micro-batching inference server on a JSON-lines TCP socket.
 pub fn serve(args: &Args) -> Result<(), String> {
+    check_flags("serve", args)?;
     let policy = batch_policy(args)?;
     let net = net_policy(args)?;
     let registry = serve_registry(args)?;
@@ -500,6 +601,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
 /// `loadgen`: drive the in-process server with synthetic load and write
 /// `bench_results/serve_load.json`.
 pub fn loadgen(args: &Args) -> Result<(), String> {
+    check_flags("loadgen", args)?;
     let policy = batch_policy(args)?;
     let cfg = LoadgenConfig {
         requests: args.parse_or("requests", 10_000usize)?,
@@ -572,6 +674,7 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
 
 /// `render`: write one sample's RGB line chart as a PPM image.
 pub fn render(args: &Args) -> Result<(), String> {
+    check_flags("render", args)?;
     let name = args.str_or("dataset", "ecg200");
     let index = args.parse_or("index", 0usize)?;
     let seed = args.parse_or("seed", 3407u64)?;
@@ -618,6 +721,65 @@ mod tests {
             .flat_map(|(k, v)| [format!("--{k}"), v.to_string()])
             .collect();
         Args::parse(&flat).unwrap()
+    }
+
+    #[test]
+    fn unread_flags_fail_before_any_work() {
+        let out = std::env::temp_dir().join("aimts_cli_unread_flag.json");
+        let _ = fs::remove_file(&out);
+        let err = pretrain(&args(&[
+            ("out", out.to_str().unwrap()),
+            ("executor", "compiled"),
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("`pretrain` does not take `--executor`"),
+            "{err}"
+        );
+        assert!(!out.exists(), "pre-training ran despite the unread flag");
+        let err = demo(&args(&[("epoch", "3")])).unwrap_err();
+        assert!(err.contains("`demo` does not take `--epoch`"), "{err}");
+    }
+
+    #[test]
+    fn documented_flag_sets_are_accepted() {
+        let lines = [
+            // CI's loadgen smoke and saturation steps.
+            (
+                "loadgen",
+                "--dataset ecg200 --epochs 2 --requests 10000 --clients 4",
+            ),
+            (
+                "loadgen",
+                "--dataset ecg200 --epochs 2 --requests 20000 --clients 8 --max-batch 8 \
+                 --queue-cap 16 --admission-timeout-ms 0 --min-sheds 1",
+            ),
+            // The end-to-end verification flows.
+            (
+                "pretrain",
+                "--pool-per-source 2 --epochs 1 --hidden 8 --repr 16 --workers 4 --out ckpt.json",
+            ),
+            ("generate", "--archive ucr --n 1 --out data"),
+            (
+                "finetune",
+                "--ckpt ckpt.json --data-dir data --name ucr_like_000_sensor --epochs 3 \
+                 --hidden 8 --repr 16",
+            ),
+            ("demo", "--dataset ecg200 --epochs 1 --hidden 8 --repr 16"),
+            ("render", "--dataset starlight --out s.ppm"),
+            // The two commands no other test runs.
+            ("info", "--archive uea --n 2 --seed 1"),
+            (
+                "serve",
+                "--model m.aimts --addr 127.0.0.1:7878 --max-batch 8 --read-timeout-ms 500",
+            ),
+        ];
+        for (cmd, line) in lines {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            if let Err(e) = check_flags(cmd, &Args::parse(&argv).unwrap()) {
+                panic!("`{cmd} {line}`: {e}");
+            }
+        }
     }
 
     #[test]
@@ -702,39 +864,6 @@ mod tests {
         bad.push(("seed", "9999"));
         bad.push(("out", out.to_str().unwrap()));
         assert!(pretrain(&args(&bad)).is_err());
-    }
-
-    #[test]
-    fn executor_flag_parses_and_runs() {
-        let ckpt = std::env::temp_dir().join("aimts_cli_exec_ckpt.json");
-        pretrain(&args(&[
-            ("pool-per-source", "2"),
-            ("epochs", "1"),
-            ("hidden", "8"),
-            ("repr", "16"),
-            ("workers", "1"),
-            ("executor", "compiled"),
-            ("out", ckpt.to_str().unwrap()),
-        ]))
-        .unwrap();
-        assert!(ckpt.exists());
-
-        demo(&args(&[
-            ("dataset", "ecg200"),
-            ("epochs", "1"),
-            ("hidden", "8"),
-            ("repr", "16"),
-            ("executor", "compiled"),
-        ]))
-        .unwrap();
-
-        // An unknown executor errors cleanly instead of panicking.
-        let bad = std::env::temp_dir().join("aimts_cli_exec_bad.json");
-        assert!(pretrain(&args(&[
-            ("executor", "jit"),
-            ("out", bad.to_str().unwrap()),
-        ]))
-        .is_err());
     }
 
     #[test]

@@ -176,21 +176,14 @@ impl CheckpointPolicy {
     }
 }
 
-/// Which execution engine runs each training step.
-///
-/// `Eager` is the reference interpreter: every step walks the autograd
-/// graph op by op. `Compiled` traces the first step of each distinct batch
-/// shape into a flat replay plan (see `aimts_tensor::plan`) and replays it
-/// for subsequent steps — same arithmetic, bit-identical results, no graph
-/// bookkeeping. A step whose plan cannot be replayed (shape change, thread
-/// or topology mismatch, untraceable op) silently falls back to eager.
+/// The execution engine a step runs on. Eager autograd is the only one,
+/// so this type has no effect. It stays only because the repo benchmark
+/// (`benchmark/`) still names `Executor::Eager`, and goes once it stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// Interpret the autograd graph every step (reference path).
+    /// Interpret the autograd graph every step.
     #[default]
     Eager,
-    /// Trace once per batch shape, then replay the compiled plan.
-    Compiled,
 }
 
 /// Pre-training loop settings (paper: Adam, lr 7e-3, StepLR, 2 epochs,
@@ -214,7 +207,7 @@ pub struct PretrainConfig {
     /// gradient clipping, skip-anomalous-step, automatic rollback. The
     /// defaults guard and skip but never perturb a clean run.
     pub health: HealthPolicy,
-    /// Step execution engine (eager interpreter or trace-and-replay).
+    /// Has no effect; see [`Executor`].
     pub executor: Executor,
 }
 
@@ -256,7 +249,7 @@ pub struct FineTuneConfig {
     /// optimizer checkpoint, so the rollback rungs of the ladder apply to
     /// pre-training only.
     pub health: HealthPolicy,
-    /// Step execution engine (eager interpreter or trace-and-replay).
+    /// Has no effect; see [`Executor`].
     pub executor: Executor,
 }
 

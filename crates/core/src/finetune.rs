@@ -2,9 +2,7 @@
 //! pre-trained TS encoder plus a task-specific MLP classifier trained with
 //! cross-entropy.
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use aimts_data::preprocess::z_normalize_sample;
 use aimts_data::{Dataset, MultiSeries, Split};
@@ -12,52 +10,15 @@ use aimts_nn::{
     apply_named_tensors, decode_named_tensors, encode_named_tensors, sections, Activation, Adam,
     Checkpoint, CheckpointError, Mlp, Module, Optimizer,
 };
-use aimts_tensor::plan::{self, CompiledPlan};
 use aimts_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::batch::{batch_indices, encode_channel_independent, samples_to_tensor};
-use crate::config::{Executor, FineTuneConfig};
+use crate::config::FineTuneConfig;
 use crate::encoder::TsEncoder;
 use crate::health::{guard_and_clip, HealthMonitor, HealthReport};
 use crate::model::AimTs;
-
-/// A traced fine-tuning step: the replay plan plus its persistent input
-/// handles (`x: [B, M, T]` batch, `targets: [B]` class indices as floats).
-struct FitPlan {
-    plan: CompiledPlan,
-    x: Tensor,
-    targets: Tensor,
-}
-
-/// How one fine-tuning step's loss was produced (mirrors the pre-training
-/// `StepRun`): an eager autograd root, or a compiled plan to replay.
-enum FitRun {
-    Eager(Tensor),
-    Plan(Arc<FitPlan>),
-}
-
-impl FitRun {
-    fn loss_val(&self) -> f32 {
-        match self {
-            FitRun::Eager(t) => t.item(),
-            FitRun::Plan(p) => p.plan.output(0).item(),
-        }
-    }
-
-    fn backward(&self) {
-        match self {
-            FitRun::Eager(t) => t.backward(),
-            FitRun::Plan(p) => p.plan.backward(),
-        }
-    }
-}
-
-/// Compiled-plan cache for one `fit` call, keyed by batch shape. Unlike
-/// pre-training the cache is method-local: fine-tuning is single-threaded
-/// and plans do not outlive the training loop that traced them.
-type FitPlans = HashMap<(usize, usize, usize), Option<Arc<FitPlan>>>;
 
 /// A fine-tuned task model: encoder copy + classifier head.
 pub struct FineTuned {
@@ -167,15 +128,15 @@ impl FineTuned {
         // One guarded step: skip on a non-finite loss or gradient norm,
         // otherwise clip (when configured) and step. Returns the loss when
         // the step went through.
-        let guarded_step = |mon: &mut HealthMonitor, opt: &mut Adam, run: FitRun| -> Option<f32> {
+        let guarded_step = |mon: &mut HealthMonitor, opt: &mut Adam, loss: Tensor| -> Option<f32> {
             let attempt = mon.begin_attempt();
-            let loss_val = run.loss_val();
+            let loss_val = loss.item();
             if mon.loss_is_bad(loss_val, attempt) {
                 let _ = mon.record_skip(); // no rollback rung here aimts-lint: allow(A005, skip verdict is advisory; fine-tuning has no rollback rung)
                 return None;
             }
             opt.zero_grad();
-            run.backward();
+            loss.backward();
             let (norm, clipped) = guard_and_clip(&params, mon.policy().clip_norm);
             if !norm.is_finite() {
                 opt.zero_grad();
@@ -187,7 +148,6 @@ impl FineTuned {
             Some(loss_val)
         };
 
-        let mut plans: FitPlans = HashMap::new();
         for epoch in 0..fcfg.epochs {
             let mut epoch_loss = 0f32;
             let mut batches = 0usize;
@@ -195,24 +155,19 @@ impl FineTuned {
             for batch in batch_indices(prepared.len(), fcfg.batch_size, &mut rng) {
                 let samples: Vec<&MultiSeries> = batch.iter().map(|&i| &prepared[i]).collect();
                 let targets: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                let run = self.fit_loss(&samples, &targets, fcfg.executor, &mut plans);
+                let loss = self.fit_loss(&samples, &targets);
                 attempted += 1;
-                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, run) {
+                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, loss) {
                     epoch_loss += loss_val;
                     batches += 1;
                 }
             }
             // A single-sample dataset yields no (>= 2)-sized batches; fall
-            // back to full-split steps in that pathological case (always
-            // eager — it runs at most once per epoch).
+            // back to full-split steps in that pathological case.
             if attempted == 0 {
                 let samples: Vec<&MultiSeries> = prepared.iter().collect();
-                let x = samples_to_tensor(&samples);
-                let logits = self
-                    .head
-                    .forward(&encode_channel_independent(&self.encoder, &x));
-                let loss = logits.cross_entropy(&labels);
-                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, FitRun::Eager(loss)) {
+                let loss = self.fit_loss(&samples, &labels);
+                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, loss) {
                     epoch_loss = loss_val;
                     batches = 1;
                 }
@@ -243,75 +198,14 @@ impl FineTuned {
         self.health.absorb(mon.into_report());
     }
 
-    /// One fine-tuning step's loss through the configured executor.
-    ///
-    /// Eager keeps the historical path (slice-target cross-entropy).
-    /// Compiled traces the first step of each batch shape — with the
-    /// targets carried as a `[B]` tensor so they are a replayable graph
-    /// input ([`Tensor::cross_entropy_t`] is arithmetic-identical to the
-    /// slice variant) — and replays thereafter. Any replay obstacle falls
-    /// back to an eager step; a shape whose trace failed stays eager.
-    fn fit_loss(
-        &self,
-        samples: &[&MultiSeries],
-        targets: &[usize],
-        executor: Executor,
-        plans: &mut FitPlans,
-    ) -> FitRun {
+    /// One fine-tuning step's loss: cross-entropy of the head's logits over
+    /// the encoded batch.
+    fn fit_loss(&self, samples: &[&MultiSeries], targets: &[usize]) -> Tensor {
         let x = samples_to_tensor(samples);
-        if executor == Executor::Eager {
-            let logits = self
-                .head
-                .forward(&encode_channel_independent(&self.encoder, &x));
-            return FitRun::Eager(logits.cross_entropy(targets));
-        }
-        // Class indices are exact in f32 far beyond any class count.
-        let tvec: Vec<f32> = targets.iter().map(|&t| t as f32).collect();
-        let key = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let eager_t = |x: &Tensor, tvec: &[f32]| -> FitRun {
-            let logits = self
-                .head
-                .forward(&encode_channel_independent(&self.encoder, x));
-            let tg = Tensor::from_vec(tvec.to_vec(), &[tvec.len()]);
-            FitRun::Eager(logits.cross_entropy_t(&tg))
-        };
-        match plans.get(&key).cloned() {
-            Some(None) => eager_t(&x, &tvec),
-            Some(Some(fp)) => {
-                if fp.plan.on_trace_thread() && fp.plan.check_topology(1).is_ok() {
-                    fp.x.set_data(&x.data());
-                    fp.targets.set_data(&tvec);
-                    if fp.plan.run().is_ok() {
-                        return FitRun::Plan(fp);
-                    }
-                }
-                eager_t(&x, &tvec)
-            }
-            None => {
-                let tg = Tensor::from_vec(tvec.clone(), &[tvec.len()]);
-                let traced = plan::trace(&[x.clone(), tg.clone()], 1, || {
-                    let logits = self
-                        .head
-                        .forward(&encode_channel_independent(&self.encoder, &x));
-                    vec![logits.cross_entropy_t(&tg)]
-                });
-                match traced {
-                    Ok(plan) => {
-                        let fp = Arc::new(FitPlan {
-                            plan,
-                            x,
-                            targets: tg,
-                        });
-                        plans.insert(key, Some(Arc::clone(&fp)));
-                        FitRun::Plan(fp)
-                    }
-                    Err(_) => {
-                        plans.insert(key, None);
-                        eager_t(&x, &tvec)
-                    }
-                }
-            }
-        }
+        let logits = self
+            .head
+            .forward(&encode_channel_independent(&self.encoder, &x));
+        logits.cross_entropy(targets)
     }
 
     /// Class predictions for a split (inference mode, no grad).
@@ -323,7 +217,7 @@ impl FineTuned {
     /// in-place forward (same values, same op order).
     pub fn predict(&self, split: &Split) -> Vec<usize> {
         assert!(!split.is_empty());
-        self.freeze(Executor::Eager).predict_split(split)
+        self.freeze().predict_split(split)
     }
 
     /// Accuracy on a split.
@@ -399,38 +293,6 @@ mod tests {
         // The tuned copy's encoder must equal the original (frozen).
         let after: Vec<f32> = tuned.encoder.parameters()[0].to_vec();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn compiled_finetune_is_bitwise_eager() {
-        let ds = easy_dataset();
-        let run = |executor: Executor| {
-            let model = AimTs::new(AimTsConfig::tiny(), 3407);
-            let fcfg = FineTuneConfig {
-                epochs: 4,
-                batch_size: 8,
-                executor,
-                ..Default::default()
-            };
-            let tuned = model.fine_tune(&ds, &fcfg);
-            let params: Vec<u32> = tuned
-                .named_parameters()
-                .iter()
-                .flat_map(|(_, t)| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-                .collect();
-            (tuned.train_losses.clone(), params)
-        };
-        let (eager_losses, eager_params) = run(Executor::Eager);
-        let (compiled_losses, compiled_params) = run(Executor::Compiled);
-        assert_eq!(
-            eager_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-            compiled_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            "compiled fine-tuning must replay the eager loss curve bit-for-bit"
-        );
-        assert_eq!(eager_params, compiled_params);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Lock-free inference: frozen model copies, per-shape compiled plans, and
-//! self-describing serving bundles.
+//! Lock-free inference: frozen model copies and self-describing serving
+//! bundles.
 //!
 //! [`InferenceModel`] is the serving-side view of a fine-tuned classifier:
 //! every parameter lives in an untracked `Storage::Hot` buffer (see
@@ -16,9 +16,8 @@
 //! element in a fixed order, so a sample's logits do not depend on its
 //! batch neighbours. `tests/serve_conformance.rs` pins that contract.
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use aimts_data::preprocess::z_normalize_sample;
 use aimts_data::{MultiSeries, Split};
@@ -26,11 +25,9 @@ use aimts_nn::{
     apply_named_tensors, decode_named_tensors, encode_named_tensors, sections, Activation,
     Checkpoint, CheckpointError, Mlp, Module, Replicate, SectionReader, SectionWriter,
 };
-use aimts_tensor::plan::{self, CompiledPlan};
 use aimts_tensor::{no_grad, Tensor};
 
 use crate::batch::{encode_channel_independent, samples_to_tensor};
-use crate::config::Executor;
 use crate::encoder::TsEncoder;
 use crate::finetune::FineTuned;
 use crate::health::HealthReport;
@@ -38,20 +35,6 @@ use crate::health::HealthReport;
 /// Offline evaluation and the online batcher both chunk un-bounded inputs
 /// at this size; bounded peak activation memory, no effect on results.
 pub const INFER_CHUNK: usize = 64;
-
-/// A traced inference forward for one batch shape: the replay plan plus its
-/// persistent `[B, M, T]` input handle.
-struct InferPlan {
-    plan: CompiledPlan,
-    x: Tensor,
-}
-
-/// Compiled-plan cache keyed by batch shape `(B, M, T)`; `None` poisons a
-/// shape whose trace failed so it stays permanently eager. Plans only
-/// replay on the thread that traced them — off-thread calls take the
-/// (bitwise-identical) eager path — so the mutex is for `Sync`, not
-/// contention.
-type InferPlans = Mutex<HashMap<(usize, usize, usize), Option<Arc<InferPlan>>>>;
 
 /// An observation hook run on every batch before the forward pass (see
 /// [`InferenceModel::with_pre_classify_hook`]).
@@ -62,21 +45,17 @@ pub struct InferenceModel {
     encoder: TsEncoder,
     head: Mlp,
     n_classes: usize,
-    executor: Executor,
-    plans: InferPlans,
     pre_hook: Option<PreClassifyHook>,
 }
 
 impl InferenceModel {
     /// Freeze `encoder` + `head` into a serving model (copies parameters
     /// into untracked Hot storage; the originals are untouched).
-    pub fn new(encoder: &TsEncoder, head: &Mlp, n_classes: usize, executor: Executor) -> Self {
+    pub fn new(encoder: &TsEncoder, head: &Mlp, n_classes: usize) -> Self {
         InferenceModel {
             encoder: encoder.freeze(),
             head: head.freeze(),
             n_classes,
-            executor,
-            plans: Mutex::new(HashMap::new()),
             pre_hook: None,
         }
     }
@@ -95,11 +74,6 @@ impl InferenceModel {
     /// Number of output classes.
     pub fn n_classes(&self) -> usize {
         self.n_classes
-    }
-
-    /// The executor this model classifies with.
-    pub fn executor(&self) -> Executor {
-        self.executor
     }
 
     /// Class predictions for raw (un-normalized) samples, all of the same
@@ -163,65 +137,20 @@ impl InferenceModel {
         self.classify(&refs)
     }
 
-    /// Forward one prepared `[B, M, T]` batch and arg-max the logits,
-    /// through the configured executor. Runs under the caller's `no_grad`.
+    /// Forward one prepared `[B, M, T]` batch and arg-max the logits. Runs
+    /// under the caller's `no_grad`.
     fn logits_argmax(&self, x: &Tensor) -> Vec<usize> {
-        if self.executor == Executor::Eager {
-            return self.eager_logits(x).argmax_axis(1);
-        }
-        let key = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let cached = {
-            let plans = self
-                .plans
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            plans.get(&key).cloned()
-        };
-        match cached {
-            Some(None) => self.eager_logits(x).argmax_axis(1),
-            Some(Some(ip)) => {
-                if ip.plan.on_trace_thread() && ip.plan.check_topology(1).is_ok() {
-                    ip.x.set_data(&x.data());
-                    if ip.plan.run().is_ok() {
-                        return ip.plan.output(0).argmax_axis(1);
-                    }
-                }
-                self.eager_logits(x).argmax_axis(1)
-            }
-            None => {
-                let traced = plan::trace(std::slice::from_ref(x), 1, || vec![self.eager_logits(x)]);
-                let entry = match traced {
-                    Ok(plan) => Some(Arc::new(InferPlan { plan, x: x.clone() })),
-                    Err(_) => None,
-                };
-                {
-                    let mut plans = self
-                        .plans
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    plans.insert(key, entry.clone());
-                }
-                match entry {
-                    // The freshly traced plan already holds this batch's
-                    // logits; read them out directly.
-                    Some(ip) => ip.plan.output(0).argmax_axis(1),
-                    None => self.eager_logits(x).argmax_axis(1),
-                }
-            }
-        }
-    }
-
-    fn eager_logits(&self, x: &Tensor) -> Tensor {
         self.head
             .forward(&encode_channel_independent(&self.encoder, x))
+            .argmax_axis(1)
     }
 }
 
 impl FineTuned {
     /// Freeze this fine-tuned model into an immutable, lock-free
     /// [`InferenceModel`] (see module docs).
-    pub fn freeze(&self, executor: Executor) -> InferenceModel {
-        InferenceModel::new(&self.encoder, &self.head, self.n_classes, executor)
+    pub fn freeze(&self) -> InferenceModel {
+        InferenceModel::new(&self.encoder, &self.head, self.n_classes)
     }
 
     /// Atomically write a *self-describing* serving bundle: an `.aimts`
@@ -336,21 +265,36 @@ mod tests {
     }
 
     #[test]
-    fn frozen_matches_offline_predict_both_executors() {
+    fn frozen_matches_live_forward() {
         let t = tuned();
         let ds = easy_dataset();
-        let offline = t.predict(&ds.test);
-        for executor in [Executor::Eager, Executor::Compiled] {
-            let m = t.freeze(executor);
-            assert_eq!(m.predict_split(&ds.test), offline, "{executor:?}");
-        }
+        let prepared: Vec<MultiSeries> = ds
+            .test
+            .samples
+            .iter()
+            .map(|s| {
+                let mut v = s.vars.clone();
+                z_normalize_sample(&mut v);
+                v
+            })
+            .collect();
+        let refs: Vec<&MultiSeries> = prepared.iter().collect();
+        let live = no_grad(|| {
+            t.head
+                .forward(&encode_channel_independent(
+                    &t.encoder,
+                    &samples_to_tensor(&refs),
+                ))
+                .argmax_axis(1)
+        });
+        assert_eq!(t.freeze().predict_split(&ds.test), live);
     }
 
     #[test]
     fn singletons_match_full_batch() {
         let t = tuned();
         let ds = easy_dataset();
-        let m = t.freeze(Executor::Compiled);
+        let m = t.freeze();
         let full = m.predict_split(&ds.test);
         for (i, s) in ds.test.samples.iter().enumerate() {
             assert_eq!(m.classify(&[&s.vars]), vec![full[i]], "sample {i}");
@@ -360,7 +304,7 @@ mod tests {
     #[test]
     fn mixed_shapes_group_and_scatter() {
         let t = tuned();
-        let m = t.freeze(Executor::Eager);
+        let m = t.freeze();
         let a: MultiSeries = vec![(0..48).map(|i| (i as f32).sin()).collect()];
         let b: MultiSeries = vec![(0..32).map(|i| (i as f32).cos()).collect()];
         let mixed = m.classify_mixed(&[&a, &b, &a]);

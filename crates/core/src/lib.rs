@@ -46,7 +46,6 @@
 // (mirrors aimts-lint rule A001; tests are exempt).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod augselect;
 pub mod batch;
 pub mod checkpoint;
 pub mod config;
@@ -59,7 +58,6 @@ pub mod mixup;
 pub mod model;
 pub mod parallel;
 
-pub use augselect::{score_augmentations, select_bank, AugmentationScore};
 pub use checkpoint::{
     build_pretrain_checkpoint, checkpoint_path, decode_pretrain_checkpoint, latest_checkpoint,
     list_checkpoints, prune_checkpoints, DecodedPretrain, PretrainState, CKPT_EXT,

@@ -4,12 +4,12 @@
 //! between the two modality subspaces.
 
 use aimts_eval::sample_beta;
-use aimts_tensor::{arena, plan, read_pair, Tensor};
+use aimts_tensor::{arena, read_pair, Tensor};
 use rand::rngs::StdRng;
 
 /// Per-row slerp coefficients `(cu, cv)` for rows of `u`/`v` (`[B, P]`)
 /// and mixing weights `lambdas[b]` — the CPU-side constant part of the
-/// geodesic mixup, shared by the eager path and its replay thunks.
+/// geodesic mixup.
 fn slerp_coeffs(
     ud: &[f32],
     vd: &[f32],
@@ -53,12 +53,8 @@ pub fn geodesic_mixup(u: &Tensor, v: &Tensor, lambdas: &[f32]) -> Tensor {
     geodesic_mixup_t(u, v, &Tensor::from_vec(lambdas.to_vec(), &[b]))
 }
 
-/// [`geodesic_mixup`] with the coefficients carried as a `[B]` tensor.
-///
-/// Because the lambdas are a graph input rather than a captured slice,
-/// this variant is traceable: the slerp coefficients are recorded as
-/// custom replay ops that recompute from the *current* `u`/`v`/`lambdas`
-/// values on every replay (arithmetic-identical to the eager path).
+/// [`geodesic_mixup`] with the coefficients carried as a `[B]` tensor, the
+/// form the pre-training step draws them in.
 pub fn geodesic_mixup_t(u: &Tensor, v: &Tensor, lambdas: &Tensor) -> Tensor {
     assert_eq!(u.shape(), v.shape(), "mixup operand shape mismatch");
     assert_eq!(u.ndim(), 2, "mixup expects [B, P]");
@@ -74,25 +70,6 @@ pub fn geodesic_mixup_t(u: &Tensor, v: &Tensor, lambdas: &Tensor) -> Tensor {
     drop((ud, vd));
     let cu_t = Tensor::from_vec(cu, &[b, 1]);
     let cv_t = Tensor::from_vec(cv, &[b, 1]);
-    let parents = [u, v, lambdas];
-    plan::record_custom(&cu_t, "slerp_cu", &parents, move |ps| {
-        let lam = arena::copy_of(&ps[2].data());
-        let (ud, vd) = read_pair(&ps[0], &ps[1]);
-        let (cu, cv) = slerp_coeffs(&ud, &vd, &lam, b, p);
-        drop((ud, vd));
-        arena::recycle(lam);
-        arena::recycle(cv);
-        cu
-    });
-    plan::record_custom(&cv_t, "slerp_cv", &parents, move |ps| {
-        let lam = arena::copy_of(&ps[2].data());
-        let (ud, vd) = read_pair(&ps[0], &ps[1]);
-        let (cu, cv) = slerp_coeffs(&ud, &vd, &lam, b, p);
-        drop((ud, vd));
-        arena::recycle(lam);
-        arena::recycle(cu);
-        cv
-    });
     u.mul(&cu_t).add(&v.mul(&cv_t)).l2_normalize(1)
 }
 

@@ -1,10 +1,9 @@
 //! The [`AimTs`] model: both encoders, both projection heads, and the
 //! multi-source pre-training loop of Fig. 3(a).
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use aimts_data::preprocess::{resample_sample, z_normalize_sample};
 use aimts_data::{Dataset, MultiSeries};
@@ -14,7 +13,6 @@ use aimts_nn::{
     load_state_dict, save_state_dict, Activation, Adam, Checkpoint, CheckpointError, Mlp, Module,
     Optimizer, ParamLayout, Replicate, StepLr,
 };
-use aimts_tensor::plan::{self, CompiledPlan};
 use aimts_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +22,7 @@ use crate::checkpoint::{
     build_pretrain_checkpoint, checkpoint_path, decode_pretrain_checkpoint, prune_checkpoints,
     PretrainState,
 };
-use crate::config::{AimTsConfig, Executor, FineTuneConfig, PretrainConfig};
+use crate::config::{AimTsConfig, FineTuneConfig, PretrainConfig};
 use crate::encoder::{ImageEncoder, TsEncoder};
 use crate::finetune::FineTuned;
 use crate::health::{
@@ -68,17 +66,12 @@ pub struct MicroGrad {
     pub si_loss: f32,
 }
 
-/// Compiled-plan cache key: one plan per distinct batch shape `(B, M, T)`.
-type PlanKey = (usize, usize, usize);
-
 /// One pre-training step's freshly drawn graph inputs (see
 /// [`AimTs::step_inputs`]): stacked view sets, adaptive temperatures,
 /// rendered charts, the original series batch, and the mixup coefficients.
 /// Fields are `None` when the ablation disables the loss that needs them.
 struct StepTensors {
     b: usize,
-    m: usize,
-    t: usize,
     /// `[B*G, M, T]` first stacked view set (prototype losses).
     view0: Option<Tensor>,
     /// `[B*G, M, T]` second stacked view set.
@@ -95,43 +88,6 @@ struct StepTensors {
     lam: Option<Tensor>,
 }
 
-impl StepTensors {
-    /// Present tensors in a fixed order — the compiled plan's input list.
-    fn input_tensors(&self) -> Vec<Tensor> {
-        [
-            &self.view0,
-            &self.view1,
-            &self.tau_w,
-            &self.tau_c,
-            &self.img,
-            &self.orig,
-            &self.lam,
-        ]
-        .into_iter()
-        .filter_map(|t| t.clone())
-        .collect()
-    }
-
-    /// Copy this step's values into `dst`'s same-shaped tensors (the
-    /// persistent input handles of a cached plan).
-    fn copy_into(&self, dst: &StepTensors) {
-        let pairs = [
-            (&self.view0, &dst.view0),
-            (&self.view1, &dst.view1),
-            (&self.tau_w, &dst.tau_w),
-            (&self.tau_c, &dst.tau_c),
-            (&self.img, &dst.img),
-            (&self.orig, &dst.orig),
-            (&self.lam, &dst.lam),
-        ];
-        for (src, dst) in pairs {
-            if let (Some(s), Some(d)) = (src, dst) {
-                d.set_data(&s.data());
-            }
-        }
-    }
-}
-
 /// The graph roots of one pre-training step (see [`AimTs::step_graph`]).
 struct StepOutputs {
     /// Scalar total loss (Eq. 1) — the backward root.
@@ -140,51 +96,6 @@ struct StepOutputs {
     proto: Option<Tensor>,
     /// `L_SI` (None when ablated away).
     si: Option<Tensor>,
-}
-
-/// A traced pre-training step: the replay plan, its persistent input
-/// handles, and where `L_proto` / `L_SI` sit in the plan's output list
-/// (output 0 is always the total loss).
-struct StepPlan {
-    plan: CompiledPlan,
-    tensors: StepTensors,
-    proto_idx: Option<usize>,
-    si_idx: Option<usize>,
-}
-
-/// How one step's loss came to be: an eager autograd root, or a compiled
-/// plan whose flat backward schedule stands in for the graph walk.
-enum StepRun {
-    Eager(Tensor),
-    Plan(Arc<StepPlan>),
-}
-
-impl StepRun {
-    /// The step's total loss value.
-    fn loss_val(&self) -> f32 {
-        match self {
-            StepRun::Eager(t) => t.item(),
-            StepRun::Plan(p) => p.plan.output(0).item(),
-        }
-    }
-
-    /// Accumulate gradients into the model's parameters (graph walk for
-    /// eager, precomputed dense-slot schedule for compiled — bitwise the
-    /// same results).
-    fn backward(&self) {
-        match self {
-            StepRun::Eager(t) => t.backward(),
-            StepRun::Plan(p) => p.plan.backward(),
-        }
-    }
-}
-
-/// Lock the plan cache, surviving a poisoned mutex (a panicking worker may
-/// have held it; the map is always in a consistent state between calls).
-fn lock_cache(
-    cache: &Mutex<HashMap<PlanKey, Option<Arc<StepPlan>>>>,
-) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Option<Arc<StepPlan>>>> {
-    cache.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The AimTS model (paper Fig. 3).
@@ -197,12 +108,6 @@ pub struct AimTs {
     /// `P^I`, the image projection head.
     pub img_proj: Mlp,
     seed: u64,
-    /// Compiled step plans keyed by batch shape; `None` poisons a shape
-    /// whose trace failed so it stays permanently eager. The mutex is not
-    /// for contention — plans only replay on the thread that traced them —
-    /// but keeps `AimTs: Sync` for the worker pool. Never cloned into
-    /// replicas: each replica warms its own cache on its pinned thread.
-    plan_cache: Mutex<HashMap<PlanKey, Option<Arc<StepPlan>>>>,
     /// Parameter enumeration frozen on first use (`named_parameters` walks
     /// the module tree and formats names; the flat-exchange hot path would
     /// otherwise redo that every call).
@@ -231,7 +136,6 @@ impl AimTs {
             image_encoder,
             img_proj,
             seed,
-            plan_cache: Mutex::new(HashMap::new()),
             layout: OnceLock::new(),
         }
     }
@@ -490,14 +394,13 @@ impl AimTs {
                     let samples: Vec<&MultiSeries> =
                         batch.iter().map(|&k| &prepared[idxs[k]]).collect();
                     let attempt = mon.begin_attempt();
-                    let (run, lp, lsi) =
-                        self.pretrain_step_ex(&samples, &mut rng, pcfg.executor, 1);
-                    let loss_val = run.loss_val();
+                    let (total, lp, lsi) = self.pretrain_step(&samples, &mut rng);
+                    let loss_val = total.item();
                     let bad = if mon.loss_is_bad(loss_val, attempt) {
                         Some(format!("non-finite loss {loss_val}"))
                     } else {
                         opt.zero_grad();
-                        run.backward();
+                        total.backward();
                         let (norm, clipped) = guard_and_clip(&params, mon.policy().clip_norm);
                         if !norm.is_finite() {
                             Some(format!("non-finite gradient norm {norm}"))
@@ -632,7 +535,6 @@ impl AimTs {
         // The fault plan is fixed at construction; capture it by value so
         // the worker closure does not borrow the monitor.
         let fault = mon.policy().fault;
-        let executor = pcfg.executor;
 
         // An epoch can never yield more micro-batches than this, so extra
         // replicas would sit idle.
@@ -685,7 +587,7 @@ impl AimTs {
                 let replica = &replicas[slot];
                 replica.load_flat(&master);
                 let samples: Vec<&MultiSeries> = batch.iter().map(|&i| &prepared[i]).collect();
-                replica.microbatch_gradient_ex(&samples, seed, executor, workers)
+                replica.microbatch_gradient(&samples, seed)
             },
             |pool| -> Result<PretrainReport, TrainError> {
                 while epoch < pcfg.epochs {
@@ -857,125 +759,27 @@ impl AimTs {
     /// the seam the determinism tests use to compare serial and threaded
     /// gradient computation.
     pub fn microbatch_gradient(&self, samples: &[&MultiSeries], rng_seed: u64) -> MicroGrad {
-        self.microbatch_gradient_ex(samples, rng_seed, Executor::Eager, 1)
-    }
-
-    /// [`AimTs::microbatch_gradient`] with an explicit execution engine and
-    /// worker topology. Compiled plans are tagged with the topology they
-    /// were traced under so a resumed run with a different worker count can
-    /// never replay a stale plan (it falls back to eager instead).
-    pub fn microbatch_gradient_ex(
-        &self,
-        samples: &[&MultiSeries],
-        rng_seed: u64,
-        executor: Executor,
-        topology: usize,
-    ) -> MicroGrad {
         self.layout().zero_grad();
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let (run, proto_loss, si_loss) =
-            self.pretrain_step_ex(samples, &mut rng, executor, topology);
-        let loss_val = run.loss_val();
-        run.backward();
+        let (total, proto_loss, si_loss) = self.pretrain_step(samples, &mut rng);
+        let loss = total.item();
+        total.backward();
         MicroGrad {
             gradient: self.flat_gradient(),
-            loss: loss_val,
+            loss,
             proto_loss,
             si_loss,
         }
     }
 
-    /// One pre-training step on a batch of prepared samples, routed
-    /// through the configured executor. Returns the step run handle (loss
-    /// root or compiled plan) plus the `L_proto` / `L_SI` values.
-    ///
-    /// The eager engine builds and returns the autograd graph as always.
-    /// The compiled engine draws the step's inputs (identical RNG stream),
-    /// then replays the cached plan for this batch shape — tracing it first
-    /// if this shape has not been seen. Any replay obstacle (trace failure,
-    /// thread or topology mismatch, interior shape change) falls back to an
-    /// eager step over the *already drawn* inputs, so the executors can
-    /// never diverge on randomness.
-    fn pretrain_step_ex(
-        &self,
-        samples: &[&MultiSeries],
-        rng: &mut StdRng,
-        executor: Executor,
-        topology: usize,
-    ) -> (StepRun, f32, f32) {
-        let inp = self.step_inputs(samples, rng);
-        if executor == Executor::Eager {
-            return self.eager_step(inp);
-        }
-        let key = (inp.b, inp.m, inp.t);
-        let cached = lock_cache(&self.plan_cache).get(&key).cloned();
-        match cached {
-            // Shape traced before and judged untraceable: permanent eager.
-            Some(None) => self.eager_step(inp),
-            Some(Some(sp)) => {
-                if sp.plan.on_trace_thread() && sp.plan.check_topology(topology).is_ok() {
-                    inp.copy_into(&sp.tensors);
-                    if sp.plan.run().is_ok() {
-                        let lp = sp.proto_idx.map_or(0.0, |i| sp.plan.output(i).item());
-                        let ls = sp.si_idx.map_or(0.0, |i| sp.plan.output(i).item());
-                        return (StepRun::Plan(sp), lp, ls);
-                    }
-                }
-                // Thread/topology mismatch or an interior shape drift: run
-                // this one step eagerly; the cached plan stays for callers
-                // on the right thread.
-                self.eager_step(inp)
-            }
-            None => {
-                let trace_inputs = inp.input_tensors();
-                let (mut proto_idx, mut si_idx) = (None, None);
-                let traced = plan::trace(&trace_inputs, topology, || {
-                    let out = self.step_graph(&inp);
-                    let mut outs = vec![out.total];
-                    if let Some(p) = out.proto {
-                        proto_idx = Some(outs.len());
-                        outs.push(p);
-                    }
-                    if let Some(s) = out.si {
-                        si_idx = Some(outs.len());
-                        outs.push(s);
-                    }
-                    outs
-                });
-                match traced {
-                    Ok(plan) => {
-                        // The trace *was* this step's eager forward; its
-                        // outputs already hold the step's values.
-                        let lp = proto_idx.map_or(0.0, |i| plan.output(i).item());
-                        let ls = si_idx.map_or(0.0, |i| plan.output(i).item());
-                        let sp = Arc::new(StepPlan {
-                            plan,
-                            tensors: inp,
-                            proto_idx,
-                            si_idx,
-                        });
-                        lock_cache(&self.plan_cache).insert(key, Some(Arc::clone(&sp)));
-                        (StepRun::Plan(sp), lp, ls)
-                    }
-                    Err(_) => {
-                        // Untraceable graph (should not happen for the step
-                        // graph, but custom banks could introduce foreign
-                        // ops): poison the shape and redo the step eagerly.
-                        lock_cache(&self.plan_cache).insert(key, None);
-                        self.eager_step(inp)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Eager step over inputs that were already drawn (fallback seam of the
-    /// compiled executor, and the tail of the eager one).
-    fn eager_step(&self, inp: StepTensors) -> (StepRun, f32, f32) {
-        let out = self.step_graph(&inp);
+    /// One pre-training step on a batch of prepared samples: draw its inputs
+    /// from `rng` and build its graph. Returns the total-loss root plus the
+    /// `L_proto` / `L_SI` values.
+    fn pretrain_step(&self, samples: &[&MultiSeries], rng: &mut StdRng) -> (Tensor, f32, f32) {
+        let out = self.step_graph(&self.step_inputs(samples, rng));
         let lp = out.proto.as_ref().map_or(0.0, Tensor::item);
         let ls = out.si.as_ref().map_or(0.0, Tensor::item);
-        (StepRun::Eager(out.total), lp, ls)
+        (out.total, lp, ls)
     }
 
     /// Draw one step's inputs: every random decision (augmented views,
@@ -988,8 +792,6 @@ impl AimTs {
         let cfg = &self.cfg;
         let b = samples.len();
         let g = cfg.g();
-        let m = samples[0].len();
-        let t_len = samples[0][0].len();
         let ab = cfg.ablation;
         let (mut view0, mut view1, mut tau_w, mut tau_c) = (None, None, None, None);
         if ab.inter || ab.intra {
@@ -1053,8 +855,6 @@ impl AimTs {
         }
         StepTensors {
             b,
-            m,
-            t: t_len,
             view0,
             view1,
             tau_w,
@@ -1067,8 +867,7 @@ impl AimTs {
 
     /// The tensor graph of one pre-training step over already-drawn inputs:
     /// no RNG, no CPU preprocessing — exactly the arithmetic of the
-    /// historical monolithic step, and the region the compiled executor
-    /// traces.
+    /// historical monolithic step.
     fn step_graph(&self, inp: &StepTensors) -> StepOutputs {
         let cfg = &self.cfg;
         let b = inp.b;
@@ -1186,10 +985,6 @@ impl AimTs {
             image_encoder: self.image_encoder.replicate(),
             img_proj: self.img_proj.replicate(),
             seed: self.seed,
-            // Plans replay against the tensors they were traced over; a
-            // replica has fresh parameter storage, so it warms its own
-            // cache (and layout) on its own pinned worker thread.
-            plan_cache: Mutex::new(HashMap::new()),
             layout: OnceLock::new(),
         }
     }
@@ -1282,7 +1077,6 @@ impl Replicate for AimTs {
             image_encoder: self.image_encoder.freeze(),
             img_proj: self.img_proj.freeze(),
             seed: self.seed,
-            plan_cache: Mutex::new(HashMap::new()),
             layout: OnceLock::new(),
         }
     }
@@ -1504,126 +1298,5 @@ mod tests {
             m.num_parameters(),
             AimTs::new(AimTsConfig::tiny(), 5).num_parameters()
         );
-    }
-
-    #[test]
-    fn compiled_serial_pretrain_is_bitwise_eager() {
-        let run = |executor: Executor| {
-            let mut model = AimTs::new(AimTsConfig::tiny(), 3407);
-            let report = model
-                .pretrain(
-                    &tiny_pool(12),
-                    &PretrainConfig {
-                        epochs: 2,
-                        batch_size: 4,
-                        workers: 1,
-                        executor,
-                        ..Default::default()
-                    },
-                )
-                .expect("clean pre-training must succeed");
-            (report, model.flat_parameters())
-        };
-        let (eager, eager_params) = run(Executor::Eager);
-        let (compiled, compiled_params) = run(Executor::Compiled);
-        assert_eq!(
-            eager
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            compiled
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            "compiled executor must replay the eager trajectory bit-for-bit"
-        );
-        assert_eq!(eager.steps, compiled.steps);
-        assert!(compiled.health.is_clean(), "{}", compiled.health);
-        assert_eq!(
-            eager_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            compiled_params
-                .iter()
-                .map(|p| p.to_bits())
-                .collect::<Vec<_>>(),
-            "final parameters must be bit-identical across executors"
-        );
-    }
-
-    #[test]
-    fn compiled_microbatch_gradient_is_bitwise_eager() {
-        let model = AimTs::new(AimTsConfig::tiny(), 21);
-        let pool = tiny_pool(8);
-        let prepared: Vec<MultiSeries> = pool.iter().map(|s| model.prepare(s)).collect();
-        let groups = AimTs::group_by_var_count(&prepared);
-        let idxs = groups.values().max_by_key(|g| g.len()).unwrap();
-        let refs: Vec<&MultiSeries> = idxs[..2].iter().map(|&i| &prepared[i]).collect();
-        let eager = model.microbatch_gradient_ex(&refs, 5, Executor::Eager, 1);
-        // First compiled call traces, the second replays the cached plan;
-        // both must reproduce the eager gradient exactly.
-        for round in 0..2 {
-            let compiled = model.microbatch_gradient_ex(&refs, 5, Executor::Compiled, 1);
-            assert_eq!(
-                eager.loss.to_bits(),
-                compiled.loss.to_bits(),
-                "round {round}"
-            );
-            assert_eq!(
-                eager.proto_loss.to_bits(),
-                compiled.proto_loss.to_bits(),
-                "round {round}"
-            );
-            assert_eq!(
-                eager.si_loss.to_bits(),
-                compiled.si_loss.to_bits(),
-                "round {round}"
-            );
-            let diverged = eager
-                .gradient
-                .iter()
-                .zip(&compiled.gradient)
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-            assert_eq!(
-                diverged, 0,
-                "round {round}: {diverged} gradient elements diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_parallel_pretrain_is_deterministic() {
-        let run = |executor: Executor| {
-            let mut model = AimTs::new(AimTsConfig::tiny(), 3407);
-            model
-                .pretrain(
-                    &tiny_pool(16),
-                    &PretrainConfig {
-                        epochs: 2,
-                        batch_size: 4,
-                        workers: 2,
-                        executor,
-                        ..Default::default()
-                    },
-                )
-                .expect("clean pre-training must succeed")
-        };
-        let eager = run(Executor::Eager);
-        let compiled = run(Executor::Compiled);
-        assert_eq!(
-            eager
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            compiled
-                .epoch_losses
-                .iter()
-                .map(|l| l.to_bits())
-                .collect::<Vec<_>>(),
-            "pinned-slot replicas replay their warm plans bit-for-bit"
-        );
-        assert!(compiled.health.is_clean(), "{}", compiled.health);
     }
 }

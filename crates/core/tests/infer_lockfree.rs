@@ -10,7 +10,7 @@
 //! `debug_assertions`.
 #![cfg(debug_assertions)]
 
-use aimts::{Executor, FineTuned, HealthReport, TsEncoder};
+use aimts::{FineTuned, HealthReport, TsEncoder};
 use aimts_data::{MultiSeries, Sample, Split};
 use aimts_nn::{Activation, Mlp};
 use aimts_tensor::lockorder;
@@ -46,7 +46,7 @@ fn frozen_inference_acquires_zero_shared_locks() {
     // proves the counter is live in this build — guarding against the
     // main assertion passing vacuously.
     let before_freeze = lockorder::acquired_total();
-    let eager = tuned.freeze(Executor::Eager);
+    let model = tuned.freeze();
     let after_freeze = lockorder::acquired_total();
     assert!(
         after_freeze > before_freeze,
@@ -56,23 +56,16 @@ fn frozen_inference_acquires_zero_shared_locks() {
     let inputs = samples(12, 20);
     let refs: Vec<&MultiSeries> = inputs.iter().collect();
 
-    for (label, model) in [
-        ("eager", eager),
-        ("compiled", tuned.freeze(Executor::Compiled)),
-    ] {
-        let start = lockorder::acquired_total();
-        let first = model.classify(&refs);
-        // Twice: the compiled path traces on the first call and replays
-        // the cached plan on the second — both must stay lock-free.
-        let second = model.classify(&refs);
-        let taken = lockorder::acquired_total() - start;
-        assert_eq!(
-            taken, 0,
-            "{label} frozen inference acquired {taken} Shared lock(s); the serving hot path regressed"
-        );
-        assert_eq!(first.len(), refs.len());
-        assert_eq!(first, second);
-    }
+    let start = lockorder::acquired_total();
+    let first = model.classify(&refs);
+    let second = model.classify(&refs);
+    let taken = lockorder::acquired_total() - start;
+    assert_eq!(
+        taken, 0,
+        "frozen inference acquired {taken} Shared lock(s); the serving hot path regressed"
+    );
+    assert_eq!(first.len(), refs.len());
+    assert_eq!(first, second);
 }
 
 #[test]
@@ -89,7 +82,7 @@ fn offline_predict_routes_through_the_lock_free_path() {
             .collect(),
     };
 
-    let frozen = tuned.freeze(Executor::Eager);
+    let frozen = tuned.freeze();
     let start = lockorder::acquired_total();
     let via_frozen = frozen.predict_split(&split);
     assert_eq!(

@@ -43,6 +43,6 @@ pub use init::{kaiming_conv1d, kaiming_conv2d, kaiming_linear};
 pub use layers::{
     Activation, BatchNorm1d, Conv1d, Conv2d, Dropout, LayerNorm, Linear, Mlp, Sequential,
 };
-pub use module::{AnyModule, CompiledStep, Module, ParamLayout, Replicate};
+pub use module::{AnyModule, Module, ParamLayout, Replicate};
 pub use optim::{clip_grad_norm, grad_norm, Adam, AdamState, Optimizer, Sgd};
 pub use scheduler::{CosineLr, SchedulerState, StepLr};

@@ -1,10 +1,8 @@
 //! The [`Module`] trait: forward pass, parameter enumeration, and the
 //! flat-buffer surface used by data-parallel training, plus the
 //! [`Replicate`]/[`AnyModule`] traits for cloning modules onto workers,
-//! and the [`ParamLayout`]/[`CompiledStep`] surface used by the compiled
-//! executor (see `aimts_tensor::plan`).
+//! and the [`ParamLayout`] that freezes a module's parameter enumeration.
 
-use aimts_tensor::plan::{self, CompiledPlan, TraceError};
 use aimts_tensor::Tensor;
 
 /// A neural-network component.
@@ -104,25 +102,6 @@ pub trait Module {
             off += n;
         }
     }
-
-    /// Trace one training step of this module into a replayable plan (see
-    /// [`aimts_tensor::plan::trace`]), pairing it with the module's frozen
-    /// [`ParamLayout`] so flat parameter/gradient exchange during replay
-    /// skips re-enumerating the tree. `build` must run exactly one eager
-    /// step and return the graph outputs with the scalar loss first.
-    fn compile_step(
-        &self,
-        inputs: &[Tensor],
-        topology: usize,
-        build: impl FnOnce() -> Vec<Tensor>,
-    ) -> Result<CompiledStep, TraceError>
-    where
-        Self: Sized,
-    {
-        let layout = ParamLayout::of(self);
-        let plan = plan::trace(inputs, topology, build)?;
-        Ok(CompiledStep { plan, layout })
-    }
 }
 
 /// Parameter enumeration frozen once: the handles, their flat-buffer
@@ -144,11 +123,7 @@ pub struct ParamLayout {
 impl ParamLayout {
     /// Freeze `module`'s current parameter enumeration.
     pub fn of(module: &(impl Module + ?Sized)) -> Self {
-        Self::from_params(module.parameters())
-    }
-
-    /// Freeze an explicit parameter list (must match `parameters()` order).
-    pub fn from_params(params: Vec<Tensor>) -> Self {
+        let params = module.parameters();
         let mut offsets = Vec::with_capacity(params.len());
         let mut total = 0usize;
         for p in &params {
@@ -160,21 +135,6 @@ impl ParamLayout {
             offsets,
             total,
         }
-    }
-
-    /// The frozen parameter handles, in `parameters()` order.
-    pub fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    /// Flat-buffer offset of parameter `i`.
-    pub fn offset(&self, i: usize) -> usize {
-        self.offsets[i]
-    }
-
-    /// Total number of scalar parameters.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// [`Module::flat_parameters`] without the re-enumeration.
@@ -232,14 +192,6 @@ impl ParamLayout {
             p.zero_grad();
         }
     }
-}
-
-/// A traced training step plus the parameter layout it was traced against.
-pub struct CompiledStep {
-    /// The replayable instruction plan (forward + backward schedule).
-    pub plan: CompiledPlan,
-    /// Frozen parameter slots of the module the plan computes over.
-    pub layout: ParamLayout,
 }
 
 /// Deep copy with fresh parameter (and internal-state) storage.

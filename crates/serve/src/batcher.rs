@@ -575,8 +575,9 @@ fn classify_isolated(
 }
 
 /// One `catch_unwind`-guarded forward pass. `AssertUnwindSafe` is sound:
-/// the model's only interior mutability is its poison-tolerant plan
-/// cache, and a panicking batch never publishes partial results.
+/// a forward pass only reads the frozen model, whose parameters nothing
+/// writes after `freeze`, and a panicking batch never publishes partial
+/// results.
 fn guarded_classify(
     model: &InferenceModel,
     refs: &[&MultiSeries],

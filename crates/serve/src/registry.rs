@@ -53,7 +53,6 @@ struct Slot {
 /// The registry: named slots, each atomically replaceable.
 pub struct ModelRegistry {
     slots: RwLock<BTreeMap<String, Arc<Slot>>>,
-    executor: Executor,
     hook: Option<InferHook>,
 }
 
@@ -68,26 +67,26 @@ fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 impl ModelRegistry {
     /// An empty registry (no slots yet; every request is `ModelNotFound`
     /// until a model is registered).
-    pub fn empty(executor: Executor) -> Self {
+    pub fn empty() -> Self {
         ModelRegistry {
             slots: RwLock::new(BTreeMap::new()),
-            executor,
             hook: None,
         }
     }
 
     /// Boot the registry from an in-process fine-tuned model installed
-    /// into the [`DEFAULT_MODEL`] slot (generation 1).
-    pub fn from_tuned(tuned: &FineTuned, executor: Executor, source: &str) -> Self {
-        let reg = Self::empty(executor);
+    /// into the [`DEFAULT_MODEL`] slot (generation 1). `_executor` has no
+    /// effect (see [`Executor`]).
+    pub fn from_tuned(tuned: &FineTuned, _executor: Executor, source: &str) -> Self {
+        let reg = Self::empty();
         reg.register_tuned(DEFAULT_MODEL, tuned, source);
         reg
     }
 
     /// Boot the registry from a serving bundle on disk into the
     /// [`DEFAULT_MODEL`] slot (generation 1).
-    pub fn from_bundle(path: &Path, executor: Executor) -> Result<Self, ServeError> {
-        let reg = Self::empty(executor);
+    pub fn from_bundle(path: &Path) -> Result<Self, ServeError> {
+        let reg = Self::empty();
         reg.register_bundle(DEFAULT_MODEL, path)?;
         Ok(reg)
     }
@@ -97,11 +96,6 @@ impl ModelRegistry {
     pub fn with_infer_hook(mut self, hook: InferHook) -> Self {
         self.hook = Some(hook);
         self
-    }
-
-    /// The executor models in this registry classify with.
-    pub fn executor(&self) -> Executor {
-        self.executor
     }
 
     /// The current version of the [`DEFAULT_MODEL`] slot. Panics if the
@@ -196,7 +190,7 @@ impl ModelRegistry {
     }
 
     fn freeze(&self, tuned: &FineTuned) -> InferenceModel {
-        let model = tuned.freeze(self.executor);
+        let model = tuned.freeze();
         match &self.hook {
             Some(h) => model.with_pre_classify_hook(Arc::clone(h)),
             None => model,

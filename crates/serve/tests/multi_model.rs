@@ -50,7 +50,7 @@ fn offline_classes(model: &FineTuned, samples: &[MultiSeries]) -> Vec<usize> {
 /// A registry with two named slots, `alpha` (seed 1) and `beta` (seed 2),
 /// and no default slot.
 fn two_slot_registry() -> ModelRegistry {
-    let registry = ModelRegistry::empty(Executor::Eager);
+    let registry = ModelRegistry::empty();
     registry.register_tuned("alpha", &make_model(1), "alpha-v1");
     registry.register_tuned("beta", &make_model(2), "beta-v1");
     registry

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use aimts::{Executor, FineTuned, HealthReport, TsEncoder};
+use aimts::{FineTuned, HealthReport, TsEncoder};
 use aimts_data::{MultiSeries, Sample, Split};
 use aimts_nn::{layout, Activation, Mlp};
 use aimts_serve::{BatchPolicy, ModelRegistry, ServeError, Server};
@@ -74,7 +74,7 @@ fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
     let samples: Vec<MultiSeries> = (0..6).map(|i| sample(16, i)).collect();
     let old = offline_classes(&FineTuned::load_bundle(v1).unwrap(), &samples);
 
-    let registry = ModelRegistry::from_bundle(v1, Executor::Eager).unwrap();
+    let registry = ModelRegistry::from_bundle(v1).unwrap();
     let server = Server::start(registry, BatchPolicy::default());
     assert_eq!(server.registry().generation(), 1);
 
@@ -154,7 +154,7 @@ fn swap_under_load_loses_zero_requests() {
         offline_classes(&FineTuned::load_bundle(v2).unwrap(), &samples),
     ];
 
-    let registry = ModelRegistry::from_bundle(v1, Executor::Eager).unwrap();
+    let registry = ModelRegistry::from_bundle(v1).unwrap();
     let server = Server::start(
         registry,
         BatchPolicy {
@@ -224,7 +224,7 @@ fn swap_under_load_loses_zero_requests() {
 
     // After the load the new generation is pinned for fresh requests.
     let resp = {
-        let registry = ModelRegistry::from_bundle(v2, Executor::Eager).unwrap();
+        let registry = ModelRegistry::from_bundle(v2).unwrap();
         let fresh = Server::start(registry, BatchPolicy::default());
         let r = fresh.classify(samples[0].clone()).unwrap();
         fresh.shutdown();
@@ -252,7 +252,7 @@ fn swap_to_different_architecture_succeeds() {
     .save_bundle(&wide)
     .unwrap();
 
-    let registry = ModelRegistry::from_bundle(v1, Executor::Eager).unwrap();
+    let registry = ModelRegistry::from_bundle(v1).unwrap();
     let server = Server::start(registry, BatchPolicy::default());
     let before = server.classify(sample(16, 3)).unwrap();
     assert_eq!(before.generation, 1);

@@ -56,10 +56,8 @@ pub fn push_no_grad() -> NoGradGuard {
 }
 
 /// Topological (post-)order over the tracked ancestors of `root`: leaves
-/// first, `root` last. This is the exact traversal `run_backward` sweeps in
-/// reverse; the plan compiler reuses it so a compiled backward schedule
-/// visits nodes in the identical order.
-pub(crate) fn backward_order(root: &Tensor) -> Vec<Tensor> {
+/// first, `root` last. `run_backward` sweeps it in reverse.
+fn backward_order(root: &Tensor) -> Vec<Tensor> {
     // Iterative DFS post-order: children (parents in graph terms) first.
     let mut order: Vec<Tensor> = Vec::new();
     let mut visited: HashSet<u64> = HashSet::new();

@@ -42,7 +42,6 @@ mod tensor;
 pub mod arena;
 pub mod lockorder;
 pub mod ops;
-pub mod plan;
 pub mod shape;
 pub mod simd;
 

@@ -3,7 +3,6 @@
 use std::borrow::Cow;
 
 use crate::arena;
-use crate::plan;
 use crate::shape::{broadcast_shapes, expand_to, numel, reduce_grad_to_shape};
 use crate::tensor::{read_pair, Tensor};
 
@@ -55,20 +54,6 @@ fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> (Vec<f3
     (out, out_shape)
 }
 
-/// Trace hook shared by the broadcasting binary ops: the replay thunk
-/// re-runs the identical `zip_broadcast` kernel over the parents.
-fn record_binary(
-    t: &Tensor,
-    op: plan::Op,
-    a: &Tensor,
-    b: &Tensor,
-    f: impl Fn(f32, f32) -> f32 + Copy + Send + Sync + 'static,
-) {
-    plan::record(t, op, plan::Attr::None, &[a, b], move |ps| {
-        zip_broadcast(&ps[0], &ps[1], f).0
-    });
-}
-
 /// Backward of `maximum` (`first_wins = |x, y| x >= y`) or `minimum`
 /// (`x <= y`): the gradient routes to the first argument where
 /// `first_wins`, else to the second.
@@ -104,7 +89,7 @@ impl Tensor {
     pub fn add(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, |x, y| x + y);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
@@ -117,16 +102,14 @@ impl Tensor {
                     })
                     .collect()
             }),
-        );
-        record_binary(&t, plan::Op::Add, self, other, |x, y| x + y);
-        t
+        )
     }
 
     /// Element-wise subtraction with broadcasting.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, |x, y| x - y);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
@@ -140,16 +123,14 @@ impl Tensor {
                     .then(|| reduced_grad(gout.iter().map(|g| -g), &os, b.shape()));
                 vec![ga, gb]
             }),
-        );
-        record_binary(&t, plan::Op::Sub, self, other, |x, y| x - y);
-        t
+        )
     }
 
     /// Element-wise multiplication with broadcasting.
     pub fn mul(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, |x, y| x * y);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
@@ -167,16 +148,14 @@ impl Tensor {
                 let gb = b.is_tracked().then(|| grad(&ad, a.shape(), b.shape()));
                 vec![ga, gb]
             }),
-        );
-        record_binary(&t, plan::Op::Mul, self, other, |x, y| x * y);
-        t
+        )
     }
 
     /// Element-wise division with broadcasting.
     pub fn div(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, |x, y| x / y);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
@@ -201,9 +180,7 @@ impl Tensor {
                 recycle_expanded(bx);
                 vec![ga, gb]
             }),
-        );
-        record_binary(&t, plan::Op::Div, self, other, |x, y| x / y);
-        t
+        )
     }
 
     /// Element-wise maximum with broadcasting. Gradient routes to the larger
@@ -211,28 +188,24 @@ impl Tensor {
     pub fn maximum(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, f32::max);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| select_backward(node, gout, &os, |x, y| x >= y)),
-        );
-        record_binary(&t, plan::Op::Maximum, self, other, f32::max);
-        t
+        )
     }
 
     /// Element-wise minimum with broadcasting (ties to the first argument).
     pub fn minimum(&self, other: &Tensor) -> Tensor {
         let (out, out_shape) = zip_broadcast(self, other, f32::min);
         let os = out_shape.clone();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone(), other.clone()],
             Box::new(move |node, gout| select_backward(node, gout, &os, |x, y| x <= y)),
-        );
-        record_binary(&t, plan::Op::Minimum, self, other, f32::min);
-        t
+        )
     }
 
     // ----- scalar variants --------------------------------------------------
@@ -242,23 +215,12 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| x + s));
         drop(d);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
             Box::new(|_, gout| vec![Some(arena::copy_of(gout))]),
-        );
-        plan::record(
-            &t,
-            plan::Op::AddScalar,
-            plan::Attr::Scalar(s),
-            &[self],
-            move |ps| {
-                let d = ps[0].data();
-                arena::map_collect(d.len(), d.iter().map(|x| x + s))
-            },
-        );
-        t
+        )
     }
 
     /// `self * s` element-wise.
@@ -266,7 +228,7 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| x * s));
         drop(d);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -276,18 +238,7 @@ impl Tensor {
                     gout.iter().map(|g| g * s),
                 ))]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::MulScalar,
-            plan::Attr::Scalar(s),
-            &[self],
-            move |ps| {
-                let d = ps[0].data();
-                arena::map_collect(d.len(), d.iter().map(|x| x * s))
-            },
-        );
-        t
+        )
     }
 
     /// `self / s` element-wise.
@@ -300,7 +251,7 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| x * a + b));
         drop(d);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -310,12 +261,7 @@ impl Tensor {
                     gout.iter().map(|g| g * a),
                 ))]
             }),
-        );
-        plan::record(&t, plan::Op::Affine, plan::Attr::None, &[self], move |ps| {
-            let d = ps[0].data();
-            arena::map_collect(d.len(), d.iter().map(|x| x * a + b))
-        });
-        t
+        )
     }
 }
 

@@ -21,7 +21,6 @@
 
 use crate::arena;
 use crate::ops::matmul::{mm_acc, transpose2d};
-use crate::plan;
 use crate::simd;
 use crate::tensor::{read_pair, Tensor};
 
@@ -851,7 +850,7 @@ impl Tensor {
             parents.push(bs.clone());
         }
         let has_bias = bias.is_some();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[b, cout, lo],
             parents,
@@ -882,33 +881,7 @@ impl Tensor {
                 }
                 grads
             }),
-        );
-        let mut prefs: Vec<&Tensor> = vec![self, weight];
-        if let Some(bs) = bias {
-            prefs.push(bs);
-        }
-        // Replay mirrors the eager forward exactly: bias copied out first,
-        // then x/w read under `read_pair`, same lowering dispatch.
-        plan::record(&t, plan::Op::Conv1d, plan::Attr::None, &prefs, move |ps| {
-            let bvec = if has_bias {
-                Some(arena::copy_of(&ps[2].data()))
-            } else {
-                None
-            };
-            let (x_ref, w_ref) = read_pair(&ps[0], &ps[1]);
-            let forward = if im2col {
-                conv1d_forward_im2col
-            } else {
-                conv1d_forward_direct
-            };
-            let out = forward(&x_ref, &w_ref, bvec.as_deref(), &dims, spec);
-            drop((x_ref, w_ref));
-            if let Some(bv) = bvec {
-                arena::recycle(bv);
-            }
-            out
-        });
-        t
+        )
     }
 
     /// 2-D convolution.
@@ -1009,7 +982,7 @@ impl Tensor {
             parents.push(bs.clone());
         }
         let has_bias = bias.is_some();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[b, cout, ho, wo],
             parents,
@@ -1040,31 +1013,7 @@ impl Tensor {
                 }
                 grads
             }),
-        );
-        let mut prefs: Vec<&Tensor> = vec![self, weight];
-        if let Some(bs) = bias {
-            prefs.push(bs);
-        }
-        plan::record(&t, plan::Op::Conv2d, plan::Attr::None, &prefs, move |ps| {
-            let bvec = if has_bias {
-                Some(arena::copy_of(&ps[2].data()))
-            } else {
-                None
-            };
-            let (x_ref, w_ref) = read_pair(&ps[0], &ps[1]);
-            let forward = if im2col {
-                conv2d_forward_im2col
-            } else {
-                conv2d_forward_direct
-            };
-            let out = forward(&x_ref, &w_ref, bvec.as_deref(), &dims, spec);
-            drop((x_ref, w_ref));
-            if let Some(bv) = bvec {
-                arena::recycle(bv);
-            }
-            out
-        });
-        t
+        )
     }
 }
 

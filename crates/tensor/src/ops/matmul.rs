@@ -3,7 +3,6 @@
 use std::ops::Range;
 
 use crate::arena;
-use crate::plan;
 use crate::simd;
 use crate::tensor::{read_pair, Tensor};
 
@@ -49,7 +48,7 @@ fn mm_ikj(
 }
 
 /// `a (m×k) · b (k×n)` into a fresh arena buffer.
-pub(crate) fn mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+fn mm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = arena::zeroed(m * n);
     mm_acc(&mut c, a, b, m, k, n);
     c
@@ -110,7 +109,7 @@ impl Tensor {
         let (ad, bd) = read_pair(self, other);
         let out = mm(&ad, &bd, m, k, n);
         drop((ad, bd));
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[m, n],
             vec![self.clone(), other.clone()],
@@ -125,18 +124,7 @@ impl Tensor {
                 arena::recycle(at);
                 vec![Some(ga), Some(gb)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::Matmul,
-            plan::Attr::None,
-            &[self, other],
-            move |ps| {
-                let (ad, bd) = read_pair(&ps[0], &ps[1]);
-                mm(&ad, &bd, m, k, n)
-            },
-        );
-        t
+        )
     }
 
     fn matmul_batched(&self, other: &Tensor) -> Tensor {
@@ -147,7 +135,7 @@ impl Tensor {
         let (ad, bd) = read_pair(self, other);
         let out = bmm(&ad, &bd, bsz, m, k, n);
         drop((ad, bd));
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[bsz, m, n],
             vec![self.clone(), other.clone()],
@@ -168,18 +156,7 @@ impl Tensor {
                 }
                 vec![Some(ga), Some(gb)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::Matmul,
-            plan::Attr::None,
-            &[self, other],
-            move |ps| {
-                let (ad, bd) = read_pair(&ps[0], &ps[1]);
-                bmm(&ad, &bd, bsz, m, k, n)
-            },
-        );
-        t
+        )
     }
 
     fn matmul_3d_2d(&self, other: &Tensor) -> Tensor {
@@ -190,7 +167,7 @@ impl Tensor {
         let (ad, bd) = read_pair(self, other);
         let out = mm(&ad, &bd, bsz * m, k, n);
         drop((ad, bd));
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[bsz, m, n],
             vec![self.clone(), other.clone()],
@@ -204,18 +181,7 @@ impl Tensor {
                 arena::recycle(at);
                 vec![Some(ga), Some(gb)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::Matmul,
-            plan::Attr::None,
-            &[self, other],
-            move |ps| {
-                let (ad, bd) = read_pair(&ps[0], &ps[1]);
-                mm(&ad, &bd, bsz * m, k, n)
-            },
-        );
-        t
+        )
     }
 }
 

@@ -1,7 +1,6 @@
 //! Pooling: 1-D/2-D max pooling and global pools.
 
 use crate::arena;
-use crate::plan;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -15,8 +14,8 @@ impl Tensor {
         let lo = l / k;
         assert!(lo >= 1, "max_pool1d window {k} larger than length {l}");
         // Backward re-runs the same scan over the parent (first arg-max on
-        // ties via strict `>`), so compiled replay stays consistent with
-        // the replayed values instead of a trace-time index capture.
+        // ties via strict `>`) instead of capturing the indices, so the
+        // forward keeps no index buffer alive for the graph's lifetime.
         let scan = move |d: &[f32]| -> (Vec<f32>, Vec<usize>) {
             let mut out = arena::take(b * c * lo);
             out.resize(b * c * lo, f32::NEG_INFINITY);
@@ -39,7 +38,7 @@ impl Tensor {
             (out, arg)
         };
         let (out, _) = scan(&self.data());
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[b, c, lo],
             vec![self.clone()],
@@ -53,15 +52,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::MaxPool1d,
-            plan::Attr::None,
-            &[self],
-            move |ps| scan(&ps[0].data()).0,
-        );
-        t
+        )
     }
 
     /// Global max pooling over time: `[B, C, L] -> [B, C]`.
@@ -88,7 +79,7 @@ impl Tensor {
         );
         let (ho, wo) = (h / k, w / k);
         assert!(ho >= 1 && wo >= 1, "max_pool2d window too large");
-        // Same replay-safe argmax-recompute pattern as `max_pool1d`.
+        // Same argmax-recompute backward as `max_pool1d`.
         let scan = move |d: &[f32]| -> (Vec<f32>, Vec<usize>) {
             let mut out = arena::take(b * c * ho * wo);
             out.resize(b * c * ho * wo, f32::NEG_INFINITY);
@@ -116,7 +107,7 @@ impl Tensor {
             (out, arg)
         };
         let (out, _) = scan(&self.data());
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &[b, c, ho, wo],
             vec![self.clone()],
@@ -130,15 +121,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::MaxPool2d,
-            plan::Attr::None,
-            &[self],
-            move |ps| scan(&ps[0].data()).0,
-        );
-        t
+        )
     }
 
     /// Global average pooling over space: `[B, C, H, W] -> [B, C]`.

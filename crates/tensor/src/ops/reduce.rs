@@ -1,7 +1,6 @@
 //! Reductions: full and per-axis sums, means, max/min.
 
 use crate::arena;
-use crate::plan;
 use crate::tensor::Tensor;
 
 /// Decompose a shape around `axis` into (outer, axis_len, inner).
@@ -19,7 +18,7 @@ const ROWS: usize = 8;
 
 /// Sum of `d`, viewed as `[outer, ax, inner]`, over its middle axis. Each
 /// output element starts at 0.0 and adds its `ax` inputs in ascending
-/// order. Shared by the eager op and its replay thunk.
+/// order.
 fn sum_axis_kernel(d: &[f32], outer: usize, ax: usize, inner: usize) -> Vec<f32> {
     let mut out = arena::zeroed(outer * inner);
     let blocked = if inner == 1 { outer / ROWS * ROWS } else { 0 };
@@ -59,7 +58,7 @@ impl Tensor {
     pub fn sum_all(&self) -> Tensor {
         let s: f32 = self.data().iter().sum();
         let n = self.numel();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             vec![s],
             &[],
             vec![self.clone()],
@@ -68,14 +67,7 @@ impl Tensor {
                 g.resize(n, gout[0]);
                 vec![Some(g)]
             }),
-        );
-        plan::record(&t, plan::Op::SumAll, plan::Attr::None, &[self], |ps| {
-            let s: f32 = ps[0].data().iter().sum();
-            let mut out = arena::take(1);
-            out.push(s);
-            out
-        });
-        t
+        )
     }
 
     /// Mean of all elements (scalar output).
@@ -89,7 +81,7 @@ impl Tensor {
         let (outer, ax, inner) = axis_split(self.shape(), axis);
         let out = sum_axis_kernel(&self.data(), outer, ax, inner);
         let oshape = reduced_shape(self.shape(), axis, keepdim);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &oshape,
             vec![self.clone()],
@@ -108,18 +100,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::SumAxis,
-            plan::Attr::Axis {
-                axis,
-                keep: keepdim,
-            },
-            &[self],
-            move |ps| sum_axis_kernel(&ps[0].data(), outer, ax, inner),
-        );
-        t
+        )
     }
 
     /// Mean along `axis`.
@@ -133,8 +114,8 @@ impl Tensor {
         let (outer, ax, inner) = axis_split(self.shape(), axis);
         // Forward scan: strict `>` keeps the first arg-max on ties. The
         // backward closure re-runs the same scan over the parent's data
-        // (instead of capturing the indices) so compiled replay sees
-        // argmaxes consistent with the replayed values.
+        // instead of capturing the indices, so the forward keeps no index
+        // buffer alive for the graph's lifetime.
         let scan = move |d: &[f32]| -> (Vec<f32>, Vec<usize>) {
             let mut out = arena::take(outer * inner);
             out.resize(outer * inner, f32::NEG_INFINITY);
@@ -171,7 +152,7 @@ impl Tensor {
         };
         let (out, _) = scan(&self.data());
         let oshape = reduced_shape(self.shape(), axis, keepdim);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &oshape,
             vec![self.clone()],
@@ -186,18 +167,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::MaxAxis,
-            plan::Attr::Axis {
-                axis,
-                keep: keepdim,
-            },
-            &[self],
-            move |ps| scan(&ps[0].data()).0,
-        );
-        t
+        )
     }
 
     /// Min along `axis`; gradient flows to the (first) arg-min element.

@@ -1,7 +1,6 @@
 //! Shape manipulation: reshape, permute, concat, slice, stack, select.
 
 use crate::arena;
-use crate::plan;
 use crate::shape::{numel, strides};
 use crate::tensor::Tensor;
 
@@ -15,16 +14,12 @@ impl Tensor {
             self.shape(),
             new_shape
         );
-        let t = Tensor::from_op(
+        Tensor::from_op(
             self.to_vec(),
             new_shape,
             vec![self.clone()],
             Box::new(|_, gout| vec![Some(arena::copy_of(gout))]),
-        );
-        plan::record(&t, plan::Op::Reshape, plan::Attr::None, &[self], |ps| {
-            arena::copy_of(&ps[0].data())
-        });
-        t
+        )
     }
 
     /// Insert a size-1 dimension at `axis`.
@@ -56,29 +51,21 @@ impl Tensor {
         let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
         let in_str = strides(&in_shape);
         let out_str = strides(&out_shape);
-        let n = self.numel();
-        let gather = {
-            let in_str = in_str.clone();
-            let out_str = out_str.clone();
-            let perm = perm.to_vec();
-            move |d: &[f32]| -> Vec<f32> {
-                let mut out = arena::zeroed(n);
-                for (oi, slot) in out.iter_mut().enumerate() {
-                    let mut rem = oi;
-                    let mut src = 0usize;
-                    for (dim, &os) in out_str.iter().enumerate() {
-                        let coord = rem / os;
-                        rem %= os;
-                        src += coord * in_str[perm[dim]];
-                    }
-                    *slot = d[src];
-                }
-                out
+        let d = self.data();
+        let mut out = arena::zeroed(self.numel());
+        for (oi, slot) in out.iter_mut().enumerate() {
+            let mut rem = oi;
+            let mut src = 0usize;
+            for (dim, &os) in out_str.iter().enumerate() {
+                let coord = rem / os;
+                rem %= os;
+                src += coord * in_str[perm[dim]];
             }
-        };
-        let out = gather(&self.data());
+            *slot = d[src];
+        }
+        drop(d);
         let perm_owned = perm.to_vec();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone()],
@@ -107,15 +94,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::Permute,
-            plan::Attr::None,
-            &[self],
-            move |ps| gather(&ps[0].data()),
-        );
-        t
+        )
     }
 
     /// Swap two dimensions.
@@ -146,24 +125,20 @@ impl Tensor {
         let ax_total: usize = tensors.iter().map(|t| t.shape()[axis]).sum();
         let mut out_shape = tensors[0].shape().to_vec();
         out_shape[axis] = ax_total;
-        let pack = move |parts: &[Tensor]| -> Vec<f32> {
-            let mut out = arena::zeroed(outer * ax_total * inner);
-            let mut offset = 0usize;
-            for t in parts {
-                let ax = t.shape()[axis];
-                let d = t.data();
-                for o in 0..outer {
-                    let src = &d[o * ax * inner..(o + 1) * ax * inner];
-                    let dst_base = (o * ax_total + offset) * inner;
-                    out[dst_base..dst_base + ax * inner].copy_from_slice(src);
-                }
-                offset += ax;
+        let mut out = arena::zeroed(outer * ax_total * inner);
+        let mut offset = 0usize;
+        for t in tensors {
+            let ax = t.shape()[axis];
+            let d = t.data();
+            for o in 0..outer {
+                let src = &d[o * ax * inner..(o + 1) * ax * inner];
+                let dst_base = (o * ax_total + offset) * inner;
+                out[dst_base..dst_base + ax * inner].copy_from_slice(src);
             }
-            out
-        };
-        let out = pack(tensors);
+            offset += ax;
+        }
         let sizes: Vec<usize> = tensors.iter().map(|t| t.shape()[axis]).collect();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             tensors.to_vec(),
@@ -182,12 +157,7 @@ impl Tensor {
                 }
                 grads
             }),
-        );
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        plan::record(&t, plan::Op::Concat, plan::Attr::None, &refs, move |ps| {
-            pack(ps)
-        });
-        t
+        )
     }
 
     /// Stack tensors of identical shape along a new leading `axis`.
@@ -209,17 +179,15 @@ impl Tensor {
         let width = end - start;
         let mut out_shape = s.to_vec();
         out_shape[axis] = width;
-        let take = move |d: &[f32]| -> Vec<f32> {
-            let mut out = arena::zeroed(outer * width * inner);
-            for o in 0..outer {
-                let src_base = (o * ax + start) * inner;
-                out[o * width * inner..(o + 1) * width * inner]
-                    .copy_from_slice(&d[src_base..src_base + width * inner]);
-            }
-            out
-        };
-        let out = take(&self.data());
-        let t = Tensor::from_op(
+        let d = self.data();
+        let mut out = arena::zeroed(outer * width * inner);
+        for o in 0..outer {
+            let src_base = (o * ax + start) * inner;
+            out[o * width * inner..(o + 1) * width * inner]
+                .copy_from_slice(&d[src_base..src_base + width * inner]);
+        }
+        drop(d);
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone()],
@@ -232,15 +200,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::SliceAxis,
-            plan::Attr::None,
-            &[self],
-            move |ps| take(&ps[0].data()),
-        );
-        t
+        )
     }
 
     /// Gather rows along `axis` by index (indices may repeat).
@@ -255,23 +215,18 @@ impl Tensor {
         let mut out_shape = s.to_vec();
         out_shape[axis] = indices.len();
         let k = indices.len();
-        let gather = {
-            let idx = indices.to_vec();
-            move |d: &[f32]| -> Vec<f32> {
-                let mut out = arena::zeroed(outer * k * inner);
-                for o in 0..outer {
-                    for (j, &i) in idx.iter().enumerate() {
-                        let src = (o * ax + i) * inner;
-                        let dst = (o * k + j) * inner;
-                        out[dst..dst + inner].copy_from_slice(&d[src..src + inner]);
-                    }
-                }
-                out
+        let d = self.data();
+        let mut out = arena::zeroed(outer * k * inner);
+        for o in 0..outer {
+            for (j, &i) in indices.iter().enumerate() {
+                let src = (o * ax + i) * inner;
+                let dst = (o * k + j) * inner;
+                out[dst..dst + inner].copy_from_slice(&d[src..src + inner]);
             }
-        };
-        let out = gather(&self.data());
+        }
+        drop(d);
         let idx = indices.to_vec();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             &out_shape,
             vec![self.clone()],
@@ -288,15 +243,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::IndexSelect,
-            plan::Attr::None,
-            &[self],
-            move |ps| gather(&ps[0].data()),
-        );
-        t
+        )
     }
 
     /// Broadcast (expand) to `target` shape, materializing the data.
@@ -304,23 +251,14 @@ impl Tensor {
         let data = crate::shape::expand_to(&self.data(), self.shape(), target);
         let from = self.shape().to_vec();
         let tgt = target.to_vec();
-        let t = Tensor::from_op(
+        Tensor::from_op(
             data,
             target,
             vec![self.clone()],
             Box::new(move |_, gout| {
                 vec![Some(crate::shape::reduce_grad_to_shape(gout, &tgt, &from))]
             }),
-        );
-        let tgt = target.to_vec();
-        plan::record(
-            &t,
-            plan::Op::BroadcastTo,
-            plan::Attr::None,
-            &[self],
-            move |ps| crate::shape::expand_to(&ps[0].data(), ps[0].shape(), &tgt),
-        );
-        t
+        )
     }
 }
 

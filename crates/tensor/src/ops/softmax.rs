@@ -1,12 +1,10 @@
 //! Softmax family, losses, and normalization composites.
 
 use crate::arena;
-use crate::plan;
 use crate::tensor::Tensor;
 use crate::EPS;
 
-/// Row-wise stable softmax kernel shared by the eager op and its replay
-/// thunk.
+/// Row-wise stable softmax kernel.
 fn softmax_rows(d: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = arena::zeroed(d.len());
     for r in 0..rows {
@@ -24,8 +22,7 @@ fn softmax_rows(d: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
-/// Row-wise stable log-softmax kernel shared by the eager op and its
-/// replay thunk.
+/// Row-wise stable log-softmax kernel.
 fn log_softmax_rows(d: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = arena::zeroed(d.len());
     for r in 0..rows {
@@ -46,7 +43,7 @@ impl Tensor {
         let cols = *s.last().expect("softmax on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors never reach softmax: all callers pass batched activations)
         let rows = self.numel() / cols;
         let out = softmax_rows(&self.data(), rows, cols);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             s,
             vec![self.clone()],
@@ -64,15 +61,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::SoftmaxLast,
-            plan::Attr::None,
-            &[self],
-            move |ps| softmax_rows(&ps[0].data(), rows, cols),
-        );
-        t
+        )
     }
 
     /// Numerically-stable log-softmax over the last dimension.
@@ -81,7 +70,7 @@ impl Tensor {
         let cols = *s.last().expect("log_softmax on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors never reach softmax: all callers pass batched activations)
         let rows = self.numel() / cols;
         let out = log_softmax_rows(&self.data(), rows, cols);
-        let t = Tensor::from_op(
+        Tensor::from_op(
             out,
             s,
             vec![self.clone()],
@@ -99,15 +88,7 @@ impl Tensor {
                 }
                 vec![Some(g)]
             }),
-        );
-        plan::record(
-            &t,
-            plan::Op::LogSoftmaxLast,
-            plan::Attr::None,
-            &[self],
-            move |ps| log_softmax_rows(&ps[0].data(), rows, cols),
-        );
-        t
+        )
     }
 
     /// Negative log-likelihood given `[B, C]` log-probabilities and class
@@ -143,59 +124,6 @@ impl Tensor {
     /// Cross-entropy from raw logits `[B, C]` and class targets (mean).
     pub fn cross_entropy(&self, targets: &[usize]) -> Tensor {
         self.log_softmax_last().nll_loss(targets)
-    }
-
-    /// [`Tensor::nll_loss`] with the targets carried as a non-differentiable
-    /// `[B]` tensor of class indices (exact for labels below 2²⁴). Because
-    /// the targets are a graph input rather than a captured constant, this
-    /// variant is traceable: a compiled plan re-reads them on every replay.
-    pub fn nll_loss_t(&self, targets: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "nll_loss expects [B, C] log-probs");
-        let (b, c) = (self.shape()[0], self.shape()[1]);
-        assert_eq!(targets.numel(), b, "targets length != batch");
-        let forward = move |logp: &Tensor, tg: &Tensor| -> Vec<f32> {
-            let (d, td) = crate::read_pair(logp, tg);
-            let mut loss = 0f32;
-            for (r, &t) in td.iter().enumerate() {
-                let t = t as usize;
-                assert!(t < c, "target {t} out of range for {c} classes");
-                loss -= d[r * c + t];
-            }
-            loss /= b as f32;
-            let mut out = arena::take(1);
-            out.push(loss);
-            out
-        };
-        let out = forward(self, targets);
-        let t = Tensor::from_op(
-            out,
-            &[],
-            vec![self.clone(), targets.clone()],
-            Box::new(move |node, gout| {
-                let tg = node.op_parents()[1].data();
-                let mut g = arena::zeroed(b * c);
-                let scale = gout[0] / b as f32;
-                for (r, &t) in tg.iter().enumerate() {
-                    g[r * c + (t as usize)] = -scale;
-                }
-                vec![Some(g), None]
-            }),
-        );
-        plan::record(
-            &t,
-            plan::Op::NllLoss,
-            plan::Attr::None,
-            &[self, targets],
-            move |ps| forward(&ps[0], &ps[1]),
-        );
-        t
-    }
-
-    /// [`Tensor::cross_entropy`] with tensor-carried targets (traceable —
-    /// see [`Tensor::nll_loss_t`]). Arithmetic-identical to the slice
-    /// variant for the same labels.
-    pub fn cross_entropy_t(&self, targets: &Tensor) -> Tensor {
-        self.log_softmax_last().nll_loss_t(targets)
     }
 
     /// L2-normalize along `axis` so slices have unit Euclidean norm.

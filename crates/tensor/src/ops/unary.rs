@@ -2,13 +2,13 @@
 
 use crate::arena;
 use crate::autograd;
-use crate::plan;
 use crate::simd;
 use crate::tensor::{read_pair, Tensor};
 
-/// Scalar ReLU shared by the eager op and the fused conv→act plan kernel.
+/// Scalar ReLU. `f32::max` returns its non-NaN operand, so a NaN input
+/// maps to 0.
 #[inline]
-pub(crate) fn relu_scalar(x: f32) -> f32 {
+fn relu_scalar(x: f32) -> f32 {
     x.max(0.0)
 }
 
@@ -35,8 +35,7 @@ fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
 }
 
 /// GELU over `x`, plus the tanh terms when `save` is set (the backward
-/// will read them). Shared by the eager op and [`gelu_replay`], so eager
-/// and replayed steps write identical bits.
+/// will read them).
 ///
 /// The tanh terms are computed in place by [`simd::tanh`]; unsaved, their
 /// buffer is overwritten with the output, so the op takes one buffer.
@@ -53,30 +52,16 @@ fn gelu_forward(x: &[f32], save: bool) -> (Vec<f32>, Option<Vec<f32>>) {
     (t, None)
 }
 
-/// Recompute GELU over `x` in a replay, rewriting the op's saved tanh
-/// buffer when it has one. Used by the op's replay thunk and by the fused
-/// conv→GELU plan kernel.
-pub(crate) fn gelu_replay(x: &[f32], saved: Option<&Tensor>) -> Vec<f32> {
-    let (y, t) = gelu_forward(x, saved.is_some());
-    if let (Some(saved), Some(t)) = (saved, t) {
-        saved.swap_data(t);
-    }
-    y
-}
-
 /// Build a unary op given forward `f` and derivative-from-input `df`.
-/// `f` is `Copy` so the trace hook can capture it for replay without
-/// boxing on the eager path.
 fn unary(
     t: &Tensor,
-    op: plan::Op,
-    f: impl Fn(f32) -> f32 + Copy + Send + Sync + 'static,
+    f: impl Fn(f32) -> f32,
     df: impl Fn(f32) -> f32 + Send + Sync + 'static,
 ) -> Tensor {
     let d = t.data();
     let out = arena::map_collect(d.len(), d.iter().map(|&x| f(x)));
     drop(d);
-    let y = Tensor::from_op(
+    Tensor::from_op(
         out,
         t.shape(),
         vec![t.clone()],
@@ -87,12 +72,7 @@ fn unary(
                 gout.iter().zip(x.iter()).map(|(g, &xi)| g * df(xi)),
             ))]
         }),
-    );
-    plan::record(&y, op, plan::Attr::None, &[t], move |ps| {
-        let d = ps[0].data();
-        arena::map_collect(d.len(), d.iter().map(|&x| f(x)))
-    });
-    y
+    )
 }
 
 impl Tensor {
@@ -107,7 +87,7 @@ impl Tensor {
         let out = arena::map_collect(d.len(), d.iter().map(|x| x.exp()));
         drop(d);
         // d/dx exp(x) = exp(x) = output, so reuse the node's own data.
-        let y = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -118,17 +98,12 @@ impl Tensor {
                     gout.iter().zip(y.iter()).map(|(g, yi)| g * yi),
                 ))]
             }),
-        );
-        plan::record(&y, plan::Op::Exp, plan::Attr::None, &[self], |ps| {
-            let d = ps[0].data();
-            arena::map_collect(d.len(), d.iter().map(|x| x.exp()))
-        });
-        y
+        )
     }
 
     /// Element-wise natural logarithm.
     pub fn ln(&self) -> Tensor {
-        unary(self, plan::Op::Ln, |x| x.ln(), |x| 1.0 / x)
+        unary(self, |x| x.ln(), |x| 1.0 / x)
     }
 
     /// Element-wise square root.
@@ -136,7 +111,7 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| x.sqrt()));
         drop(d);
-        let y = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -149,22 +124,17 @@ impl Tensor {
                         .map(|(g, yi)| g * 0.5 / yi.max(1e-12)),
                 ))]
             }),
-        );
-        plan::record(&y, plan::Op::Sqrt, plan::Attr::None, &[self], |ps| {
-            let d = ps[0].data();
-            arena::map_collect(d.len(), d.iter().map(|x| x.sqrt()))
-        });
-        y
+        )
     }
 
     /// Element-wise square.
     pub fn square(&self) -> Tensor {
-        unary(self, plan::Op::Square, |x| x * x, |x| 2.0 * x)
+        unary(self, |x| x * x, |x| 2.0 * x)
     }
 
     /// Element-wise absolute value (subgradient 0 at 0).
     pub fn abs(&self) -> Tensor {
-        unary(self, plan::Op::Abs, f32::abs, |x| {
+        unary(self, f32::abs, |x| {
             if x > 0.0 {
                 1.0
             } else if x < 0.0 {
@@ -177,30 +147,18 @@ impl Tensor {
 
     /// Element-wise power with a constant exponent.
     pub fn powf(&self, p: f32) -> Tensor {
-        unary(
-            self,
-            plan::Op::Powf,
-            move |x| x.powf(p),
-            move |x| p * x.powf(p - 1.0),
-        )
+        unary(self, move |x| x.powf(p), move |x| p * x.powf(p - 1.0))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        unary(self, plan::Op::Relu, relu_scalar, |x| {
-            if x > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        unary(self, relu_scalar, |x| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&self, alpha: f32) -> Tensor {
         unary(
             self,
-            plan::Op::LeakyRelu,
             move |x| if x > 0.0 { x } else { alpha * x },
             move |x| if x > 0.0 { 1.0 } else { alpha },
         )
@@ -210,14 +168,13 @@ impl Tensor {
     /// models; max error vs exact GELU < 1e-3).
     ///
     /// The tanh term is computed once per element. When the input is
-    /// tracked under grad it is kept for the backward; the replay thunk and
-    /// the fused conv→GELU plan kernel rewrite it on every replay, so the
-    /// backward never reads a value from an earlier step.
+    /// tracked under grad it is kept for the backward, which then needs no
+    /// second tanh.
     pub fn gelu(&self) -> Tensor {
         let save = autograd::is_grad_enabled() && self.is_tracked();
         let (out, tanh) = gelu_forward(&self.data(), save);
         let tanh = tanh.map(|t| Tensor::from_vec(t, self.shape()));
-        let y = match tanh.clone() {
+        match tanh {
             Some(t) => Tensor::from_op(
                 out,
                 self.shape(),
@@ -233,11 +190,7 @@ impl Tensor {
             ),
             // Nothing will differentiate through the output.
             None => Tensor::from_vec(out, self.shape()),
-        };
-        plan::record_saving(&y, plan::Op::Gelu, &[self], tanh.clone(), move |ps| {
-            gelu_replay(&ps[0].data(), tanh.as_ref())
-        });
-        y
+        }
     }
 
     /// Logistic sigmoid.
@@ -245,7 +198,7 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| 1.0 / (1.0 + (-x).exp())));
         drop(d);
-        let y = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -256,12 +209,7 @@ impl Tensor {
                     gout.iter().zip(y.iter()).map(|(g, yi)| g * yi * (1.0 - yi)),
                 ))]
             }),
-        );
-        plan::record(&y, plan::Op::Sigmoid, plan::Attr::None, &[self], |ps| {
-            let d = ps[0].data();
-            arena::map_collect(d.len(), d.iter().map(|x| 1.0 / (1.0 + (-x).exp())))
-        });
-        y
+        )
     }
 
     /// Hyperbolic tangent.
@@ -269,7 +217,7 @@ impl Tensor {
         let d = self.data();
         let out = arena::map_collect(d.len(), d.iter().map(|x| x.tanh()));
         drop(d);
-        let y = Tensor::from_op(
+        Tensor::from_op(
             out,
             self.shape(),
             vec![self.clone()],
@@ -280,19 +228,13 @@ impl Tensor {
                     gout.iter().zip(y.iter()).map(|(g, yi)| g * (1.0 - yi * yi)),
                 ))]
             }),
-        );
-        plan::record(&y, plan::Op::Tanh, plan::Attr::None, &[self], |ps| {
-            let d = ps[0].data();
-            arena::map_collect(d.len(), d.iter().map(|x| x.tanh()))
-        });
-        y
+        )
     }
 
     /// Clamp into `[lo, hi]` (zero gradient outside the interval).
     pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
         unary(
             self,
-            plan::Op::Clamp,
             move |x| x.clamp(lo, hi),
             move |x| if x >= lo && x <= hi { 1.0 } else { 0.0 },
         )

@@ -365,17 +365,6 @@ impl Tensor {
         self.with_data_mut(|d| f(d));
     }
 
-    /// Replace the buffer wholesale with `buf`, recycling the old buffer
-    /// into the thread-local arena. Used by compiled-plan replay, which
-    /// recomputes each traced node's value into an arena buffer and swaps
-    /// it in — downstream instructions and retained backward closures then
-    /// read the fresh value through their existing handles.
-    pub(crate) fn swap_data(&self, mut buf: Vec<f32>) {
-        debug_assert_eq!(buf.len(), self.numel(), "swap_data length mismatch");
-        self.with_data_mut(|d| std::mem::swap(d, &mut buf));
-        arena::recycle(buf);
-    }
-
     /// True when every element is finite (no `NaN`, no `±inf`).
     ///
     /// One branch-free pass over the buffer (see [`crate::all_finite`]);

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use aimts::{checkpoint_path, AimTs, AimTsConfig, CheckpointPolicy, Executor, PretrainConfig};
+use aimts::{checkpoint_path, AimTs, AimTsConfig, CheckpointPolicy, PretrainConfig};
 use aimts_data::archives::monash_like_pool;
 use aimts_data::MultiSeries;
 
@@ -16,13 +16,12 @@ fn tiny_pool() -> Vec<MultiSeries> {
     monash_like_pool(2, 0).into_iter().take(12).collect()
 }
 
-fn pcfg(workers: usize, executor: Executor, checkpoint: CheckpointPolicy) -> PretrainConfig {
+fn pcfg(workers: usize, checkpoint: CheckpointPolicy) -> PretrainConfig {
     PretrainConfig {
         epochs: EPOCHS,
         batch_size: 4,
         seed: 3407,
         workers,
-        executor,
         checkpoint,
         ..PretrainConfig::default()
     }
@@ -38,7 +37,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Straight N-epoch run vs N/2 → kill → resume N/2, compared by `check`.
 fn run_interrupted_vs_straight(
     workers: usize,
-    executor: Executor,
     tag: &str,
     check: impl Fn(&[f32], &[f32], &[f32], &[f32]),
 ) {
@@ -48,7 +46,7 @@ fn run_interrupted_vs_straight(
     // Reference: one uninterrupted run, no checkpointing at all.
     let mut straight = AimTs::new(AimTsConfig::tiny(), 1);
     let straight_report = straight
-        .pretrain(&pool, &pcfg(workers, executor, CheckpointPolicy::default()))
+        .pretrain(&pool, &pcfg(workers, CheckpointPolicy::default()))
         .unwrap();
 
     // Interrupted run: stop ("crash") after HALF epochs...
@@ -64,7 +62,7 @@ fn run_interrupted_vs_straight(
                     keep_last: 0,
                     resume_from: None,
                 },
-                ..pcfg(workers, executor, CheckpointPolicy::default())
+                ..pcfg(workers, CheckpointPolicy::default())
             },
         )
         .unwrap();
@@ -79,7 +77,6 @@ fn run_interrupted_vs_straight(
             &pool,
             &pcfg(
                 workers,
-                executor,
                 CheckpointPolicy {
                     resume_from: Some(ckpt),
                     ..CheckpointPolicy::default()
@@ -111,7 +108,6 @@ fn run_interrupted_vs_straight(
 fn serial_resume_is_bit_exact() {
     run_interrupted_vs_straight(
         1,
-        Executor::Eager,
         "serial",
         |p_straight, p_resumed, l_straight, l_resumed| {
             assert_eq!(
@@ -143,7 +139,6 @@ fn serial_resume_is_bit_exact() {
 fn parallel_resume_is_bit_exact() {
     run_interrupted_vs_straight(
         4,
-        Executor::Eager,
         "parallel",
         |p_straight, p_resumed, l_straight, l_resumed| {
             assert_eq!(
@@ -166,57 +161,6 @@ fn parallel_resume_is_bit_exact() {
     );
 }
 
-/// Checkpoints carry no executor tag — compiled replay is bitwise the eager
-/// computation, so a run interrupted and resumed entirely under
-/// `Executor::Compiled` must land on the exact same parameters and loss
-/// curve as the straight compiled run (which itself matches eager, per the
-/// determinism goldens).
-#[test]
-fn compiled_serial_resume_is_bit_exact() {
-    run_interrupted_vs_straight(
-        1,
-        Executor::Compiled,
-        "compiled",
-        |p_straight, p_resumed, l_straight, l_resumed| {
-            assert_eq!(
-                l_straight, l_resumed,
-                "compiled loss curves must match bit-for-bit across resume"
-            );
-            assert_eq!(p_straight.len(), p_resumed.len());
-            let diverged = p_straight
-                .iter()
-                .zip(p_resumed)
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
-                .count();
-            assert_eq!(
-                diverged,
-                0,
-                "{diverged}/{} parameters differ after compiled resume",
-                p_straight.len()
-            );
-        },
-    );
-}
-
-/// A plan traced under one worker topology refuses to replay under another:
-/// the reduction order it baked in would no longer describe the run.
-#[test]
-fn compiled_plan_rejects_foreign_topology() {
-    use aimts_tensor::{plan, Tensor};
-    let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-    let traced =
-        plan::trace(std::slice::from_ref(&x), 4, || vec![x.square().sum_all()]).expect("trace");
-    assert!(traced.check_topology(4).is_ok());
-    let err = traced
-        .check_topology(1)
-        .expect_err("topology must be checked");
-    let msg = format!("{err}");
-    assert!(
-        msg.contains('4') && msg.contains('1'),
-        "topology error should name both topologies: {msg}"
-    );
-}
-
 #[test]
 fn resume_rejects_mismatched_seed_and_topology() {
     let pool = tiny_pool();
@@ -231,7 +175,7 @@ fn resume_rejects_mismatched_seed_and_topology() {
                     dir: Some(dir.clone()),
                     ..CheckpointPolicy::default()
                 },
-                ..pcfg(1, Executor::Eager, CheckpointPolicy::default())
+                ..pcfg(1, CheckpointPolicy::default())
             },
         )
         .unwrap();
@@ -244,7 +188,6 @@ fn resume_rejects_mismatched_seed_and_topology() {
                 seed,
                 ..pcfg(
                     workers,
-                    Executor::Eager,
                     CheckpointPolicy {
                         resume_from: Some(ckpt.clone()),
                         ..CheckpointPolicy::default()
@@ -276,7 +219,7 @@ fn retention_keeps_only_last_k_during_training() {
                     keep_last: 2,
                     resume_from: None,
                 },
-                ..pcfg(1, Executor::Eager, CheckpointPolicy::default())
+                ..pcfg(1, CheckpointPolicy::default())
             },
         )
         .unwrap();

@@ -21,7 +21,7 @@
 //! were recorded against glibc 2.36 (`expf`/`logf` in the losses). Another
 //! libm may move them without any bug in this repository.
 
-use aimts::{AimTs, AimTsConfig, Executor, PretrainConfig};
+use aimts::{AimTs, AimTsConfig, PretrainConfig};
 use aimts_data::archives::monash_like_pool;
 use aimts_nn::Module;
 
@@ -41,10 +41,6 @@ fn param_fnv(model: &AimTs) -> u64 {
 /// The exact workload of `examples/serial_golden.rs`, at a given worker
 /// count: tiny config, init seed 3407, 2 epochs over `monash_like_pool(4, 0)`.
 fn run(workers: usize) -> (u32, u64, Vec<u32>) {
-    run_ex(workers, Executor::Eager)
-}
-
-fn run_ex(workers: usize, executor: Executor) -> (u32, u64, Vec<u32>) {
     let pool = monash_like_pool(4, 0);
     let mut model = AimTs::new(AimTsConfig::tiny(), 3407);
     let report = model
@@ -54,7 +50,6 @@ fn run_ex(workers: usize, executor: Executor) -> (u32, u64, Vec<u32>) {
                 epochs: 2,
                 batch_size: 4,
                 workers,
-                executor,
                 ..Default::default()
             },
         )
@@ -105,47 +100,6 @@ fn four_worker_run_matches_golden() {
         "4-worker parameters drifted: got 0x{fnv:016x}"
     );
     assert_eq!(epochs, PAR4_EPOCH_BITS, "4-worker epoch losses drifted");
-}
-
-/// The compiled executor replays traced plans instead of rebuilding the
-/// autograd graph each step — and must land on the *pre-refactor* golden
-/// digests, bit for bit. Same constants as the eager test: the plan is a
-/// replay of the eager computation, not an approximation of it.
-#[test]
-fn compiled_serial_matches_pre_refactor_golden() {
-    let (loss, fnv, epochs) = run_ex(1, Executor::Compiled);
-    assert_eq!(
-        loss, SERIAL_LOSS_BITS,
-        "compiled serial final loss drifted from eager golden: got 0x{loss:08x}"
-    );
-    assert_eq!(
-        fnv, SERIAL_PARAM_FNV,
-        "compiled serial parameters drifted from eager golden: got 0x{fnv:016x}"
-    );
-    assert_eq!(
-        epochs, SERIAL_EPOCH_BITS,
-        "compiled serial epoch losses drifted from eager golden"
-    );
-}
-
-/// Compiled replay inside the 4-worker persistent pool: each worker traces
-/// once on its own thread and replays thereafter; the all-reduce sees the
-/// same bits as eager, so the eager 4-worker goldens hold unchanged.
-#[test]
-fn compiled_four_worker_matches_golden() {
-    let (loss, fnv, epochs) = run_ex(4, Executor::Compiled);
-    assert_eq!(
-        loss, PAR4_LOSS_BITS,
-        "compiled 4-worker final loss drifted from eager golden: got 0x{loss:08x}"
-    );
-    assert_eq!(
-        fnv, PAR4_PARAM_FNV,
-        "compiled 4-worker parameters drifted from eager golden: got 0x{fnv:016x}"
-    );
-    assert_eq!(
-        epochs, PAR4_EPOCH_BITS,
-        "compiled 4-worker epoch losses drifted from eager golden"
-    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Serving conformance suite: predictions served through `aimts-serve`
 //! must be **bitwise-identical** to offline [`FineTuned::predict`] — for
-//! any micro-batch split, any arrival order, and both executors.
+//! any micro-batch split and any arrival order.
 //!
 //! Why bitwise identity is even possible: inference z-normalizes each
 //! sample independently, the encoder/head path has no cross-sample
@@ -100,25 +100,23 @@ fn offline_predictions_match_golden_digest() {
 #[test]
 fn served_matches_offline_for_any_batch_split_and_order() {
     let (ds, tuned, offline) = fixture();
-    for executor in [Executor::Eager, Executor::Compiled] {
-        for (max_batch, seed) in [(1usize, 11u64), (3, 22), (64, 33)] {
-            let registry = ModelRegistry::from_tuned(tuned, executor, "fixture");
-            let server = Server::start(
-                registry,
-                BatchPolicy {
-                    max_batch,
-                    ..BatchPolicy::default()
-                },
-            );
-            let order = shuffled_indices(ds.test.len(), seed);
-            let served = serve_all(&server, ds, &order);
-            server.shutdown();
-            assert_eq!(
-                &served, offline,
-                "served != offline for executor {executor:?}, max_batch {max_batch}"
-            );
-            assert_eq!(predictions_fnv(&served), predictions_fnv(offline));
-        }
+    for (max_batch, seed) in [(1usize, 11u64), (3, 22), (64, 33)] {
+        let registry = ModelRegistry::from_tuned(tuned, Executor::Eager, "fixture");
+        let server = Server::start(
+            registry,
+            BatchPolicy {
+                max_batch,
+                ..BatchPolicy::default()
+            },
+        );
+        let order = shuffled_indices(ds.test.len(), seed);
+        let served = serve_all(&server, ds, &order);
+        server.shutdown();
+        assert_eq!(
+            &served, offline,
+            "served != offline for max_batch {max_batch}"
+        );
+        assert_eq!(predictions_fnv(&served), predictions_fnv(offline));
     }
 }
 
@@ -127,18 +125,13 @@ fn bundle_round_trip_serves_identical_predictions() {
     let (ds, tuned, offline) = fixture();
     let path = std::env::temp_dir().join("aimts_serve_conformance_bundle.aimts");
     tuned.save_bundle(&path).expect("save bundle");
-    for executor in [Executor::Eager, Executor::Compiled] {
-        let registry = ModelRegistry::from_bundle(&path, executor).expect("load bundle");
-        assert_eq!(registry.generation(), 1);
-        let server = Server::start(registry, BatchPolicy::default());
-        let order = shuffled_indices(ds.test.len(), 44);
-        let served = serve_all(&server, ds, &order);
-        server.shutdown();
-        assert_eq!(
-            &served, offline,
-            "bundle-served != offline for executor {executor:?}"
-        );
-    }
+    let registry = ModelRegistry::from_bundle(&path).expect("load bundle");
+    assert_eq!(registry.generation(), 1);
+    let server = Server::start(registry, BatchPolicy::default());
+    let order = shuffled_indices(ds.test.len(), 44);
+    let served = serve_all(&server, ds, &order);
+    server.shutdown();
+    assert_eq!(&served, offline, "bundle-served != offline");
 }
 
 #[test]
