@@ -16,7 +16,8 @@ use aimts_data::{Dataset, MissingValuePolicy};
 use aimts_eval::ConfusionMatrix;
 use aimts_imaging::{render_sample, ImageConfig};
 use aimts_serve::{
-    run_loadgen, write_report, BatchPolicy, LoadgenConfig, ModelRegistry, NetPolicy, Server,
+    default_report_path, run_loadgen, write_report, BatchPolicy, LoadgenConfig, ModelRegistry,
+    NetPolicy, Server,
 };
 
 use crate::args::Args;
@@ -601,6 +602,11 @@ pub fn serve(args: &Args) -> Result<(), String> {
 /// `loadgen`: drive the in-process server with synthetic load and write
 /// `bench_results/serve_load.json`.
 pub fn loadgen(args: &Args) -> Result<(), String> {
+    loadgen_reporting_to(args, &default_report_path())
+}
+
+/// [`loadgen`] writing its report to `report_path`.
+fn loadgen_reporting_to(args: &Args, report_path: &Path) -> Result<(), String> {
     check_flags("loadgen", args)?;
     let policy = batch_policy(args)?;
     let cfg = LoadgenConfig {
@@ -630,7 +636,8 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
     );
     let report = run_loadgen(&server, &pool, &cfg);
     server.shutdown();
-    let path = write_report(&report);
+    write_report(&report, report_path)
+        .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
     println!(
         "completed {}/{} (shed {}, deadline {}, failed {}, errors {}, lost {}) \
          in {:.2}s — {:.0} req/s, mean batch {:.1}",
@@ -654,7 +661,7 @@ pub fn loadgen(args: &Args) -> Result<(), String> {
         report.queue_p50_us,
         report.queue_p99_us
     );
-    println!("report written to {}", path.display());
+    println!("report written to {}", report_path.display());
     // Shed and expired requests are legitimate overload outcomes; a lost
     // request — accepted but never answered — is a drain-contract bug.
     if report.lost > 0 {
@@ -1024,17 +1031,22 @@ mod tests {
         .unwrap();
         // Try-admit semantics (zero admission timeout) against a tiny
         // queue: sheds must happen, accepted requests must all answer.
-        loadgen(&args(&[
-            ("model", bundle.to_str().unwrap()),
-            ("dataset", "ecg200"),
-            ("requests", "400"),
-            ("clients", "8"),
-            ("max-batch", "4"),
-            ("queue-cap", "2"),
-            ("admission-timeout-ms", "0"),
-            ("min-sheds", "1"),
-        ]))
+        let report = std::env::temp_dir().join("aimts_cli_saturation_load.json");
+        loadgen_reporting_to(
+            &args(&[
+                ("model", bundle.to_str().unwrap()),
+                ("dataset", "ecg200"),
+                ("requests", "400"),
+                ("clients", "8"),
+                ("max-batch", "4"),
+                ("queue-cap", "2"),
+                ("admission-timeout-ms", "0"),
+                ("min-sheds", "1"),
+            ]),
+            &report,
+        )
         .unwrap();
+        assert!(report.exists());
     }
 
     #[test]
@@ -1053,14 +1065,19 @@ mod tests {
 
         // Drive the served model with a small load; every request must
         // complete (loadgen errors otherwise).
-        loadgen(&args(&[
-            ("model", bundle.to_str().unwrap()),
-            ("dataset", "ecg200"),
-            ("requests", "64"),
-            ("clients", "2"),
-            ("max-batch", "8"),
-        ]))
+        let report = std::env::temp_dir().join("aimts_cli_demo_bundle_load.json");
+        loadgen_reporting_to(
+            &args(&[
+                ("model", bundle.to_str().unwrap()),
+                ("dataset", "ecg200"),
+                ("requests", "64"),
+                ("clients", "2"),
+                ("max-batch", "8"),
+            ]),
+            &report,
+        )
         .unwrap();
+        assert!(report.exists());
     }
 
     #[test]

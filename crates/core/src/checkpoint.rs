@@ -31,13 +31,16 @@ pub struct PretrainState {
     /// Base seed the run was launched with (resume must match it for the
     /// derived streams to line up).
     pub base_seed: u64,
-    /// Mid-stream state word of the shuffling/augmentation RNG.
+    /// Mid-stream state word of the shared RNG (shuffling at every worker
+    /// count, augmentation too at `workers == 1`).
     pub rng_state: u64,
-    /// Micro-batches scheduled so far (drives derived augmentation seeds
-    /// on the data-parallel path; 0 on the serial path).
+    /// Micro-batches drawn so far. At `workers >= 2` it derives each
+    /// micro-batch's augmentation seed; at `workers == 1` nothing reads it.
     pub micro_counter: u64,
-    /// Worker topology: 1 = serial path, >1 = replica-per-worker path.
-    /// Round boundaries depend on it, so resume requires an exact match.
+    /// Worker count `W` the run resolved to: 1 = one micro-batch per step,
+    /// augmented from the shared RNG; >= 2 = rounds of up to `W`
+    /// micro-batches with derived seeds. Round boundaries and random
+    /// streams depend on it, so resume requires an exact match.
     pub workers: u32,
     /// Mean total loss of every completed epoch.
     pub epoch_losses: Vec<f32>,

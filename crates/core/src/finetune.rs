@@ -8,7 +8,7 @@ use aimts_data::preprocess::z_normalize_sample;
 use aimts_data::{Dataset, MultiSeries, Split};
 use aimts_nn::{
     apply_named_tensors, decode_named_tensors, encode_named_tensors, sections, Activation, Adam,
-    Checkpoint, CheckpointError, Mlp, Module, Optimizer,
+    Checkpoint, CheckpointError, Mlp, Module,
 };
 use aimts_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use crate::batch::{batch_indices, encode_channel_independent, samples_to_tensor};
 use crate::config::FineTuneConfig;
 use crate::encoder::TsEncoder;
-use crate::health::{guard_and_clip, HealthMonitor, HealthReport};
+use crate::health::{HealthMonitor, HealthReport, StepOutcome};
 use crate::model::AimTs;
 
 /// A fine-tuned task model: encoder copy + classifier head.
@@ -125,58 +125,36 @@ impl FineTuned {
         let mut rng = StdRng::seed_from_u64(fcfg.seed);
         let mut mon = HealthMonitor::new(fcfg.health.clone());
 
-        // One guarded step: skip on a non-finite loss or gradient norm,
-        // otherwise clip (when configured) and step. Returns the loss when
-        // the step went through.
-        let guarded_step = |mon: &mut HealthMonitor, opt: &mut Adam, loss: Tensor| -> Option<f32> {
-            let attempt = mon.begin_attempt();
-            let loss_val = loss.item();
-            if mon.loss_is_bad(loss_val, attempt) {
-                let _ = mon.record_skip(); // no rollback rung here aimts-lint: allow(A005, skip verdict is advisory; fine-tuning has no rollback rung)
-                return None;
-            }
-            opt.zero_grad();
-            loss.backward();
-            let (norm, clipped) = guard_and_clip(&params, mon.policy().clip_norm);
-            if !norm.is_finite() {
-                opt.zero_grad();
-                let _ = mon.record_skip(); // aimts-lint: allow(A005, skip verdict is advisory; fine-tuning has no rollback rung)
-                return None;
-            }
-            opt.step();
-            mon.record_step(norm, clipped);
-            Some(loss_val)
-        };
-
         for epoch in 0..fcfg.epochs {
             let mut epoch_loss = 0f32;
-            let mut batches = 0usize;
-            let mut attempted = 0usize;
-            for batch in batch_indices(prepared.len(), fcfg.batch_size, &mut rng) {
+            let mut stepped = 0usize;
+            let mut batches = batch_indices(prepared.len(), fcfg.batch_size, &mut rng);
+            // A single-sample dataset yields no (>= 2)-sized batches; fall
+            // back to one full-split batch in that pathological case.
+            if batches.is_empty() {
+                batches.push((0..prepared.len()).collect());
+            }
+            for batch in batches {
                 let samples: Vec<&MultiSeries> = batch.iter().map(|&i| &prepared[i]).collect();
                 let targets: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
                 let loss = self.fit_loss(&samples, &targets);
-                attempted += 1;
-                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, loss) {
+                // The ladder without the post-step parameter scan: with no
+                // optimizer-state checkpoint there is no rollback rung, so
+                // a rollback verdict counts as one more skip.
+                let attempt = mon.begin_attempt();
+                let grad = mon.guarded_backward(&opt, &loss, attempt);
+                if let StepOutcome::Stepped(loss_val) =
+                    mon.supervised_step(&mut opt, &params, false, grad)
+                {
                     epoch_loss += loss_val;
-                    batches += 1;
-                }
-            }
-            // A single-sample dataset yields no (>= 2)-sized batches; fall
-            // back to full-split steps in that pathological case.
-            if attempted == 0 {
-                let samples: Vec<&MultiSeries> = prepared.iter().collect();
-                let loss = self.fit_loss(&samples, &labels);
-                if let Some(loss_val) = guarded_step(&mut mon, &mut opt, loss) {
-                    epoch_loss = loss_val;
-                    batches = 1;
+                    stepped += 1;
                 }
             }
             // An epoch whose every step was skipped reports NaN honestly.
-            self.train_losses.push(if batches == 0 {
+            self.train_losses.push(if stepped == 0 {
                 f32::NAN
             } else {
-                epoch_loss / batches as f32
+                epoch_loss / stepped as f32
             });
             mon.end_epoch();
             // Best-accuracy checkpointing: snapshot encoder + head whenever

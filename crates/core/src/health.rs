@@ -29,7 +29,7 @@
 
 use std::fmt;
 
-use aimts_nn::{clip_grad_norm, grad_norm, CheckpointError};
+use aimts_nn::{clip_grad_norm, grad_norm, CheckpointError, Optimizer};
 use aimts_tensor::Tensor;
 
 /// Knobs of the self-healing training loop.
@@ -116,8 +116,10 @@ pub struct HealthReport {
     pub worker_panics: usize,
     /// Data-parallel steps completed on a strict subset of their
     /// micro-batches (surviving replicas re-averaged after a panic or a
-    /// poisoned gradient). Degraded steps break bit-exactness with the
-    /// serial schedule and are therefore surfaced here.
+    /// poisoned gradient). A degraded step averages fewer micro-batches
+    /// than its round held, so the run leaves the trajectory a clean run
+    /// with the same seed and worker count takes; that is why these steps
+    /// are surfaced here.
     pub degraded_steps: usize,
     /// Pre-clip gradient-norm summary per completed epoch.
     pub epoch_grad_norms: Vec<GradNormStats>,
@@ -246,6 +248,19 @@ pub fn params_all_finite(params: &[Tensor]) -> bool {
     params.iter().all(|p| p.all_finite())
 }
 
+/// How one step attempt ended (see [`HealthMonitor::supervised_step`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum StepOutcome<T> {
+    /// The optimizer stepped; carries what the gradient source returned.
+    Stepped(T),
+    /// The attempt was anomalous and skipped: gradients zeroed, optimizer
+    /// untouched.
+    Skipped,
+    /// Restore the last good state: the consecutive-bad budget ran out, or
+    /// the step left a non-finite parameter behind. Carries the cause.
+    RollBack(String),
+}
+
 /// What the supervisor decided about one step attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepVerdict {
@@ -301,6 +316,71 @@ impl HealthMonitor {
     /// loss is non-finite, or a fault plan forces it.
     pub fn loss_is_bad(&self, loss: f32, attempt: u64) -> bool {
         !loss.is_finite() || self.policy.fault.forces_bad(attempt)
+    }
+
+    /// The loss guard for a single-loss step: refuse `loss` before
+    /// `backward` when [`HealthMonitor::loss_is_bad`] flags it for
+    /// `attempt`; otherwise zero the gradients and backpropagate. Returns
+    /// the loss value, the gradient source
+    /// [`HealthMonitor::supervised_step`] takes.
+    pub fn guarded_backward(
+        &self,
+        opt: &impl Optimizer,
+        loss: &Tensor,
+        attempt: u64,
+    ) -> Result<f32, String> {
+        let value = loss.item();
+        if self.loss_is_bad(value, attempt) {
+            return Err(format!("non-finite loss {value}"));
+        }
+        opt.zero_grad();
+        loss.backward();
+        Ok(value)
+    }
+
+    /// The guard → clip → skip → step ladder for one step attempt, shared
+    /// by pre-training and fine-tuning.
+    ///
+    /// `grad` is `Ok` when the attempt's gradient sits in the `.grad` slots
+    /// of `params`, or `Err(cause)` when the attempt was anomalous before a
+    /// gradient existed. A gradient whose global norm is non-finite is
+    /// anomalous too; otherwise it is clipped (when the policy says so) and
+    /// the optimizer steps. An anomalous attempt zeroes the gradients and
+    /// counts towards [`HealthPolicy::max_bad_steps`]. `scan_params` adds
+    /// the post-step parameter scan, pre-training's second rollback
+    /// trigger; fine-tuning, which has no rollback rung, skips it.
+    pub fn supervised_step<T>(
+        &mut self,
+        opt: &mut impl Optimizer,
+        params: &[Tensor],
+        scan_params: bool,
+        grad: Result<T, String>,
+    ) -> StepOutcome<T> {
+        let cause = match grad {
+            Err(cause) => cause,
+            Ok(value) => {
+                let (norm, clipped) = guard_and_clip(params, self.policy.clip_norm);
+                if norm.is_finite() {
+                    opt.step();
+                    if scan_params && !params_all_finite(params) {
+                        return StepOutcome::RollBack(
+                            "non-finite parameter after optimizer step".into(),
+                        );
+                    }
+                    self.record_step(norm, clipped);
+                    return StepOutcome::Stepped(value);
+                }
+                format!("non-finite gradient norm {norm}")
+            }
+        };
+        opt.zero_grad();
+        match self.record_skip() {
+            StepVerdict::RollBack => StepOutcome::RollBack(format!(
+                "{} consecutive anomalous steps (last: {cause})",
+                self.policy.max_bad_steps.max(1)
+            )),
+            _ => StepOutcome::Skipped,
+        }
     }
 
     /// Record a successful optimizer step with its pre-clip gradient norm.
@@ -474,6 +554,82 @@ mod tests {
         assert!(!mon.loss_is_bad(1.25, a1));
         let a2 = mon.begin_attempt();
         assert!(mon.loss_is_bad(1.25, a2), "fault plan forces attempt 2 bad");
+    }
+
+    #[test]
+    fn supervised_step_steps_skips_and_escalates() {
+        let p = Tensor::from_vec(vec![1.0, -1.0], &[2]).requires_grad();
+        let params = vec![p.clone()];
+        let mut opt = aimts_nn::Adam::new(params.clone(), 0.1);
+        let mut mon = HealthMonitor::new(HealthPolicy {
+            max_bad_steps: 2,
+            ..Default::default()
+        });
+        p.set_grad(&[0.5, 0.5]);
+        let stepped = mon.supervised_step(&mut opt, &params, true, Ok(7));
+        assert_eq!(stepped, StepOutcome::Stepped(7));
+        let after_step = p.to_vec();
+        assert_ne!(after_step, vec![1.0, -1.0]);
+
+        // A non-finite gradient is skipped and zeroed; an attempt without a
+        // gradient is skipped too, and it is the second in a row.
+        p.set_grad(&[f32::NAN, 0.0]);
+        let skipped = mon.supervised_step(&mut opt, &params, true, Ok(8));
+        assert_eq!(skipped, StepOutcome::Skipped);
+        assert!(p.grad().is_none(), "a skip zeroes the gradients");
+        match mon.supervised_step(&mut opt, &params, true, Err::<(), _>("no gradient".into())) {
+            StepOutcome::RollBack(cause) => assert!(
+                cause.contains("2 consecutive") && cause.contains("no gradient"),
+                "{cause}"
+            ),
+            other => panic!("expected a rollback, got {other:?}"),
+        }
+        assert_eq!(p.to_vec(), after_step, "skips leave the parameters alone");
+        assert_eq!(mon.report().skipped_steps, 2);
+    }
+
+    #[test]
+    fn post_step_parameter_scan_is_opt_in() {
+        // An infinite learning rate leaves a non-finite parameter behind.
+        let step = |scan_params: bool| {
+            let p = Tensor::from_vec(vec![1.0], &[1]).requires_grad();
+            let params = vec![p.clone()];
+            let mut opt = aimts_nn::Adam::new(params.clone(), f32::INFINITY);
+            let mut mon = HealthMonitor::new(HealthPolicy::default());
+            p.set_grad(&[1.0]);
+            let outcome = mon.supervised_step(&mut opt, &params, scan_params, Ok(()));
+            (outcome, p.all_finite())
+        };
+        let (outcome, finite) = step(false);
+        assert_eq!(outcome, StepOutcome::Stepped(()));
+        assert!(!finite);
+        let (outcome, _) = step(true);
+        assert!(
+            matches!(&outcome, StepOutcome::RollBack(c) if c.contains("non-finite parameter")),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn guarded_backward_checks_the_loss_before_backward() {
+        let mut mon = HealthMonitor::new(HealthPolicy {
+            fault: FaultPlan {
+                bad_steps_from: Some(1),
+                panic_on_micro: None,
+            },
+            ..Default::default()
+        });
+        let w = Tensor::from_vec(vec![2.0], &[1]).requires_grad();
+        let opt = aimts_nn::Adam::new(vec![w.clone()], 0.1);
+        let loss = w.mul(&w).sum_all();
+        let a0 = mon.begin_attempt();
+        assert_eq!(mon.guarded_backward(&opt, &loss, a0), Ok(4.0));
+        assert_eq!(w.grad(), Some(vec![4.0]));
+        // The fault plan forces attempt 1 bad: no backward runs.
+        w.zero_grad();
+        let a1 = mon.begin_attempt();
+        assert!(mon.guarded_backward(&opt, &loss, a1).is_err());
+        assert!(w.grad().is_none());
     }
 
     #[test]

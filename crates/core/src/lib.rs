@@ -70,7 +70,4 @@ pub use health::{
 };
 pub use infer::{InferenceModel, INFER_CHUNK};
 pub use model::{AimTs, MicroGrad, PretrainReport};
-pub use parallel::{
-    all_reduce_mean, all_reduce_mean_guarded, parallel_map, try_parallel_map, worker_count,
-    THREADS_ENV,
-};
+pub use parallel::{all_reduce_mean_guarded, worker_count, THREADS_ENV};

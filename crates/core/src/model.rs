@@ -1,6 +1,7 @@
 //! The [`AimTs`] model: both encoders, both projection heads, and the
 //! multi-source pre-training loop of Fig. 3(a).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -25,12 +26,10 @@ use crate::checkpoint::{
 use crate::config::{AimTsConfig, FineTuneConfig, PretrainConfig};
 use crate::encoder::{ImageEncoder, TsEncoder};
 use crate::finetune::FineTuned;
-use crate::health::{
-    guard_and_clip, params_all_finite, HealthMonitor, HealthReport, StepVerdict, TrainError,
-};
+use crate::health::{HealthMonitor, HealthReport, StepOutcome, TrainError};
 use crate::losses;
 use crate::mixup::{geodesic_mixup_t, sample_lambdas};
-use crate::parallel;
+use crate::parallel::{self, PoolHandle};
 
 /// Summary of a pre-training run.
 #[derive(Debug, Clone)]
@@ -45,7 +44,11 @@ pub struct PretrainReport {
     pub final_proto_loss: f32,
     /// Mean `L_SI` of the final epoch (0 when ablated away).
     pub final_si_loss: f32,
-    /// Data-parallel workers actually used (1 = serial path).
+    /// Workers `W` the run resolved to: 1 when every round was one
+    /// micro-batch computed in-thread on the shared RNG stream, otherwise
+    /// the size of the worker pool (at least 2, and at most the
+    /// micro-batches an epoch can yield). Checkpoints record it, and
+    /// resume requires the same value.
     pub workers: usize,
     /// What the self-healing supervisor did during the run (skips, clips,
     /// rollbacks, worker panics, per-epoch gradient-norm stats).
@@ -64,6 +67,23 @@ pub struct MicroGrad {
     pub proto_loss: f32,
     /// `L_SI` value (0 when ablated away).
     pub si_loss: f32,
+}
+
+/// One dispatched micro-batch: (augmentation seed, micro index, sample
+/// indices, master weights snapshot).
+type PoolTask = (u64, u64, Vec<usize>, Arc<Vec<f32>>);
+
+/// A round's gradient as the step ladder takes it, plus the micro-batches
+/// the round lost.
+struct RoundGrad {
+    /// `(loss, L_proto, L_SI)` of each micro-batch the gradient averages
+    /// (the gradient itself sits in the master's `.grad` slots), or why the
+    /// round has no gradient.
+    grad: Result<Vec<[f32; 3]>, String>,
+    /// Micro-batches lost to a worker panic.
+    panics: usize,
+    /// Micro-batches dropped for a non-finite loss or gradient.
+    poisoned: usize,
 }
 
 /// One pre-training step's freshly drawn graph inputs (see
@@ -107,7 +127,6 @@ pub struct AimTs {
     pub image_encoder: ImageEncoder,
     /// `P^I`, the image projection head.
     pub img_proj: Mlp,
-    seed: u64,
     /// Parameter enumeration frozen on first use (`named_parameters` walks
     /// the module tree and formats names; the flat-exchange hot path would
     /// otherwise redo that every call).
@@ -135,7 +154,6 @@ impl AimTs {
             ts_proj,
             image_encoder,
             img_proj,
-            seed,
             layout: OnceLock::new(),
         }
     }
@@ -207,21 +225,27 @@ impl AimTs {
     /// to `cfg.pretrain_len`, z-normalized, and batched within groups of
     /// equal variable count.
     ///
-    /// Training is data-parallel across micro-batches: the worker count is
+    /// Training is data-parallel across micro-batches: every optimizer step
+    /// averages one round of up to `W` micro-batch gradients. `W` is
     /// resolved by [`parallel::worker_count`] from `pcfg.workers` (then the
-    /// `AIMTS_THREADS` environment variable, then available cores). With
-    /// one worker the original serial loop runs, bit-for-bit.
+    /// `AIMTS_THREADS` environment variable, then available cores). At
+    /// `W = 1` each round is one micro-batch computed in-thread on this
+    /// model, with augmentations drawn from the run's shared RNG, and no
+    /// thread starts. At `W >= 2` the rounds run on a pool of persistent
+    /// workers with per-micro-batch augmentation seeds; `W` is then capped
+    /// at the micro-batches an epoch can yield, but never below 2. One loop
+    /// (`train_epochs`) runs every `W`; only a round's gradient depends on
+    /// it.
     ///
     /// Fault tolerance comes in two layers. `pcfg.checkpoint` gives
     /// periodic checkpoints and — when `resume_from` is set — bit-exact
-    /// continuation of an interrupted run (identical parameters and loss
-    /// curve to the uninterrupted run on the serial path; the data-parallel
-    /// path matches within float all-reduce tolerance when resumed with the
-    /// same worker count). `pcfg.health` arms the self-healing supervisor:
-    /// non-finite losses/gradients skip the step, optional global-norm
-    /// clipping, automatic rollback to the last good epoch boundary after
-    /// too many consecutive anomalies, and worker-panic containment on the
-    /// data-parallel path (see [`crate::health`]).
+    /// continuation of an interrupted run: identical parameters and loss
+    /// curve to the uninterrupted run, at any `W`, provided the seed and
+    /// the resolved `W` match. `pcfg.health` arms the self-healing
+    /// supervisor: non-finite losses/gradients skip the step, optional
+    /// global-norm clipping, automatic rollback to the last good epoch
+    /// boundary after too many consecutive anomalies, and worker-panic
+    /// containment at `W >= 2` (see [`crate::health`]).
     ///
     /// Errors are typed: [`TrainError::Checkpoint`] for checkpoint I/O or
     /// compatibility failures, [`TrainError::Diverged`] when the rollback
@@ -232,12 +256,42 @@ impl AimTs {
         pcfg: &PretrainConfig,
     ) -> Result<PretrainReport, TrainError> {
         assert!(pool.len() >= 2, "pre-training needs at least 2 samples");
-        let workers = parallel::worker_count(pcfg.workers);
-        if workers <= 1 {
-            self.pretrain_serial(pool, pcfg)
-        } else {
-            self.pretrain_parallel(pool, pcfg, workers)
+        let prepared: Vec<MultiSeries> = pool.iter().map(|s| self.prepare(s)).collect();
+        let groups = Self::group_by_var_count(&prepared);
+        // Buffer arena for the whole run: after the first step the graph's
+        // buffer sizes are all pooled, so steady-state steps stop
+        // allocating (see `aimts_tensor::arena`).
+        let _arena = aimts_tensor::arena::enable();
+        // An epoch never yields more micro-batches than this, so more
+        // replicas would sit idle. The per-micro-batch-seed path stays at
+        // 2 or more, so its checkpoints never pass for those of a `W = 1`
+        // run, which continues on the shared RNG stream.
+        let max_micro: usize = groups.values().map(|g| g.len().div_ceil(2)).sum();
+        let workers = match parallel::worker_count(pcfg.workers) {
+            1 => 1,
+            w => w.min(max_micro).max(2),
+        };
+        if workers == 1 {
+            return self.train_epochs(pcfg, &prepared, &groups, None);
         }
+        // Every task loads the master weights first, so the replicas' own
+        // starting weights never matter.
+        let replicas: Vec<AimTs> = (0..workers).map(|_| self.replicate()).collect();
+        let fault = pcfg.health.fault;
+        parallel::with_worker_pool(
+            workers,
+            |slot, (seed, micro, batch, master): PoolTask| {
+                if fault.forces_panic(micro) {
+                    // aimts-lint: allow(A001, deliberate fault injection: the resilience suite requires a real worker panic)
+                    panic!("injected worker panic on micro-batch {micro}");
+                }
+                let replica = &replicas[slot];
+                replica.load_flat(&master);
+                let samples: Vec<&MultiSeries> = batch.iter().map(|&i| &prepared[i]).collect();
+                replica.microbatch_gradient(&samples, seed)
+            },
+            |pool| self.train_epochs(pcfg, &prepared, &groups, Some(pool)),
+        )
     }
 
     /// Restore a pre-training checkpoint into `self`/`opt`/`sched` and
@@ -318,31 +372,48 @@ impl AimTs {
 
     /// Group prepared-sample indices by variable count (constant M per
     /// batch).
-    fn group_by_var_count(
-        prepared: &[MultiSeries],
-    ) -> std::collections::BTreeMap<usize, Vec<usize>> {
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    fn group_by_var_count(prepared: &[MultiSeries]) -> BTreeMap<usize, Vec<usize>> {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, s) in prepared.iter().enumerate() {
             groups.entry(s.len()).or_default().push(i);
         }
         groups
     }
 
-    /// The original single-threaded loop: one shared RNG drives shuffling
-    /// and augmentation sequentially, one optimizer step per micro-batch,
-    /// every step supervised by the [`HealthMonitor`].
-    fn pretrain_serial(
+    /// The pre-training loop at every worker count `W`: resume, epochs of
+    /// rounds through the step ladder
+    /// ([`HealthMonitor::supervised_step`]), rollback, epoch close-out,
+    /// checkpoints and the report. `pool` is `None` at `W = 1`.
+    ///
+    /// Each variable-count group's batches are drawn when the loop reaches
+    /// that group. A round runs as soon as `W` micro-batches are pending,
+    /// and once more with what is left at the end of the epoch. Only the
+    /// round's gradient depends on `W`:
+    ///
+    /// * `W = 1`: the master model computes it in-thread, drawing the
+    ///   augmentations from the shared RNG between the group shuffles, in
+    ///   the order the serial goldens pin, and the loss is checked before
+    ///   `backward`.
+    /// * `W >= 2`: worker slot `i` runs the round's `i`-th micro-batch on
+    ///   replica `i`, always on the same thread, so every replica's
+    ///   tensors and buffer arena stay there and the only locks a worker
+    ///   takes are its own replica's parameter locks (in `load_flat` and
+    ///   the gradient export). Augmentations are seeded by
+    ///   [`parallel::microbatch_seed`]; the RNG only shuffles. The master
+    ///   averages the finite gradients in slot order, so results depend
+    ///   only on the seed and `W`, never on thread scheduling. A panicked
+    ///   or poisoned micro-batch is dropped and the step degrades to the
+    ///   survivors; a round with none is skipped like any other anomalous
+    ///   step. The panicking worker thread survives and serves later
+    ///   rounds.
+    fn train_epochs(
         &mut self,
-        pool: &[MultiSeries],
         pcfg: &PretrainConfig,
+        prepared: &[MultiSeries],
+        groups: &BTreeMap<usize, Vec<usize>>,
+        mut pool: Option<&mut PoolHandle<PoolTask, MicroGrad>>,
     ) -> Result<PretrainReport, TrainError> {
-        let prepared: Vec<MultiSeries> = pool.iter().map(|s| self.prepare(s)).collect();
-        let groups = Self::group_by_var_count(&prepared);
-        // Buffer arena for the whole run: after the first step the graph's
-        // buffer sizes are all pooled, so steady-state steps stop
-        // allocating (see `aimts_tensor::arena`).
-        let _arena = aimts_tensor::arena::enable();
-
+        let workers = pool.as_ref().map_or(1, |p| p.workers());
         let params: Vec<Tensor> = self
             .named_parameters()
             .into_iter()
@@ -352,86 +423,102 @@ impl AimTs {
         let mut sched = StepLr::new(pcfg.lr, pcfg.lr_step, pcfg.lr_gamma);
         let mut rng = StdRng::seed_from_u64(pcfg.seed);
         let mut mon = HealthMonitor::new(pcfg.health.clone());
-
-        let mut epoch_losses = Vec::with_capacity(pcfg.epochs);
-        let mut steps = 0usize;
-        let (mut last_proto, mut last_si) = (0f32, 0f32);
-        let mut epoch = 0usize;
+        let mut st = PretrainState {
+            steps: 0,
+            epochs_done: 0,
+            base_seed: pcfg.seed,
+            rng_state: rng.state(),
+            micro_counter: 0,
+            workers: workers as u32,
+            epoch_losses: Vec::with_capacity(pcfg.epochs),
+            last_proto: 0.0,
+            last_si: 0.0,
+        };
         if let Some(path) = &pcfg.checkpoint.resume_from {
-            let st = self.restore_pretrain(path, pcfg, 1, &mut opt, &mut sched)?;
+            st = self.restore_pretrain(path, pcfg, st.workers, &mut opt, &mut sched)?;
             rng = StdRng::from_state(st.rng_state);
-            epoch = st.epochs_done as usize;
-            steps = st.steps as usize;
-            epoch_losses = st.epoch_losses;
-            last_proto = st.last_proto;
-            last_si = st.last_si;
         }
         // In-memory rollback target: exactly what a checkpoint written at
         // this epoch boundary would contain. Held in memory so rollback
         // works even when `checkpoint.dir` is unset.
-        let mut last_good = build_pretrain_checkpoint(
-            self,
-            &opt.export_state(),
-            &sched.export_state(),
-            &PretrainState {
-                steps: steps as u64,
-                epochs_done: epoch as u64,
-                base_seed: pcfg.seed,
-                rng_state: rng.state(),
-                micro_counter: 0,
-                workers: 1,
-                epoch_losses: epoch_losses.clone(),
-                last_proto,
-                last_si,
-            },
-        );
-        while epoch < pcfg.epochs {
-            let mut losses_this_epoch = Vec::new();
-            let (mut protos, mut sis) = (Vec::new(), Vec::new());
-            let mut rollback: Option<String> = None;
-            'epoch: for idxs in groups.values() {
-                for batch in batch_indices(idxs.len(), pcfg.batch_size, &mut rng) {
-                    let samples: Vec<&MultiSeries> =
-                        batch.iter().map(|&k| &prepared[idxs[k]]).collect();
-                    let attempt = mon.begin_attempt();
-                    let (total, lp, lsi) = self.pretrain_step(&samples, &mut rng);
-                    let loss_val = total.item();
-                    let bad = if mon.loss_is_bad(loss_val, attempt) {
-                        Some(format!("non-finite loss {loss_val}"))
+        let mut last_good =
+            build_pretrain_checkpoint(self, &opt.export_state(), &sched.export_state(), &st);
+        while st.epochs_done < pcfg.epochs as u64 {
+            // `(loss, L_proto, L_SI)` of every micro-batch a step used.
+            let mut used: Vec<[f32; 3]> = Vec::new();
+            let mut groups_left = groups.values();
+            // The current group's batches that are not in a round yet.
+            let mut drawn: VecDeque<Vec<usize>> = VecDeque::new();
+            let mut rollback = None;
+            loop {
+                let mut round: Vec<(u64, Vec<usize>)> = Vec::with_capacity(workers);
+                while round.len() < workers {
+                    if let Some(batch) = drawn.pop_front() {
+                        round.push((st.micro_counter, batch));
+                        st.micro_counter += 1;
+                    } else if let Some(idxs) = groups_left.next() {
+                        let batches = batch_indices(idxs.len(), pcfg.batch_size, &mut rng);
+                        drawn.extend(batches.iter().map(|b| b.iter().map(|&k| idxs[k]).collect()));
                     } else {
-                        opt.zero_grad();
-                        total.backward();
-                        let (norm, clipped) = guard_and_clip(&params, mon.policy().clip_norm);
-                        if !norm.is_finite() {
-                            Some(format!("non-finite gradient norm {norm}"))
-                        } else {
-                            opt.step();
-                            steps += 1;
-                            if !params_all_finite(&params) {
-                                rollback = Some("non-finite parameter after optimizer step".into());
-                                break 'epoch;
-                            }
-                            mon.record_step(norm, clipped);
-                            losses_this_epoch.push(loss_val as f64);
-                            protos.push(lp as f64);
-                            sis.push(lsi as f64);
-                            None
+                        break;
+                    }
+                }
+                if round.is_empty() {
+                    break;
+                }
+                let attempt = mon.begin_attempt();
+                let computed = match pool.as_deref_mut() {
+                    // W = 1: the round's one micro-batch, in-thread.
+                    None => {
+                        let samples: Vec<&MultiSeries> =
+                            round[0].1.iter().map(|&i| &prepared[i]).collect();
+                        let (total, lp, lsi) = self.pretrain_step(&samples, &mut rng);
+                        RoundGrad {
+                            grad: mon
+                                .guarded_backward(&opt, &total, attempt)
+                                .map(|loss| vec![[loss, lp, lsi]]),
+                            panics: 0,
+                            poisoned: 0,
                         }
-                    };
-                    if let Some(reason) = bad {
-                        opt.zero_grad();
-                        if mon.record_skip() == StepVerdict::RollBack {
-                            rollback = Some(format!(
-                                "{} consecutive anomalous steps (last: {reason})",
-                                mon.policy().max_bad_steps.max(1)
-                            ));
-                            break 'epoch;
+                    }
+                    // W >= 2: one micro-batch per worker.
+                    Some(pool) => {
+                        let master = Arc::new(self.flat_parameters());
+                        let tasks = round
+                            .into_iter()
+                            .map(|(micro, batch)| {
+                                let seed =
+                                    parallel::microbatch_seed(pcfg.seed, st.epochs_done, micro);
+                                (seed, micro, batch, Arc::clone(&master))
+                            })
+                            .collect();
+                        let results = pool.run_round(tasks);
+                        // Every worker dropped its snapshot clone before
+                        // reporting; reclaim the master buffer for the next
+                        // round.
+                        if let Ok(buf) = Arc::try_unwrap(master) {
+                            aimts_tensor::arena::recycle(buf);
+                        }
+                        self.average_round(results, &opt, &mon, attempt)
+                    }
+                };
+                match mon.supervised_step(&mut opt, &params, true, computed.grad) {
+                    StepOutcome::Stepped(stats) => {
+                        st.steps += 1;
+                        mon.record_degraded(computed.panics, computed.poisoned);
+                        used.extend(stats);
+                    }
+                    outcome => {
+                        mon.record_lost_round(computed.panics);
+                        if let StepOutcome::RollBack(reason) = outcome {
+                            rollback = Some(reason);
+                            break;
                         }
                     }
                 }
             }
             if let Some(reason) = rollback {
-                let st = self.rollback(&last_good, &mut opt, &mut sched, &mut mon, &reason)?;
+                st = self.rollback(&last_good, &mut opt, &mut sched, &mut mon, &reason)?;
                 // Re-shuffle forward: a fresh deterministic shuffling stream
                 // so the replayed epoch does not re-create the exact batch
                 // sequence that just poisoned the run.
@@ -440,317 +527,87 @@ impl AimTs {
                     RESHUFFLE_STREAM,
                     mon.report().rollbacks as u64,
                 ));
-                epoch = st.epochs_done as usize;
-                steps = st.steps as usize;
-                epoch_losses = st.epoch_losses;
-                last_proto = st.last_proto;
-                last_si = st.last_si;
                 continue;
             }
-            epoch_losses.push(mean_or_nan(&losses_this_epoch));
-            last_proto = mean_or_nan(&protos);
-            last_si = mean_or_nan(&sis);
+            let [loss, proto, si] = epoch_means(&used);
+            st.epoch_losses.push(loss);
+            (st.last_proto, st.last_si) = (proto, si);
             mon.end_epoch();
             sched.step(&mut opt);
-            last_good = build_pretrain_checkpoint(
-                self,
-                &opt.export_state(),
-                &sched.export_state(),
-                &PretrainState {
-                    steps: steps as u64,
-                    epochs_done: (epoch + 1) as u64,
-                    base_seed: pcfg.seed,
-                    rng_state: rng.state(),
-                    micro_counter: 0,
-                    workers: 1,
-                    epoch_losses: epoch_losses.clone(),
-                    last_proto,
-                    last_si,
-                },
-            );
-            maybe_write_checkpoint(pcfg, epoch + 1, &last_good)?;
-            epoch += 1;
+            st.epochs_done += 1;
+            st.rng_state = rng.state();
+            last_good =
+                build_pretrain_checkpoint(self, &opt.export_state(), &sched.export_state(), &st);
+            maybe_write_checkpoint(pcfg, st.epochs_done as usize, &last_good)?;
         }
         Ok(PretrainReport {
-            final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-            epoch_losses,
-            steps,
-            final_proto_loss: last_proto,
-            final_si_loss: last_si,
-            workers: 1,
+            final_loss: st.epoch_losses.last().copied().unwrap_or(f32::NAN),
+            epoch_losses: st.epoch_losses,
+            steps: st.steps as usize,
+            final_proto_loss: st.last_proto,
+            final_si_loss: st.last_si,
+            workers,
             health: mon.into_report(),
         })
     }
 
-    /// Data-parallel loop: each round ships the master weights to per-worker
-    /// replicas, runs up to `workers` micro-batches concurrently (augment,
-    /// rasterize, forward, backward all on the worker thread), all-reduces
-    /// the flat gradients, and steps the optimizer once on the mean.
-    ///
-    /// Worker threads are spawned **once** per run by
-    /// [`parallel::with_worker_pool`] and live until the run ends; slot `i`
-    /// always executes replica `i`, so every replica's tensors and buffer
-    /// arena stay on one thread for the whole run. The worker hot path
-    /// takes no locks: replica activations live in unsynchronized hot
-    /// storage, and the only `RwLock`s left are on `requires_grad`
-    /// parameters — written by `load_flat` at the top of a task and read
-    /// when the gradient is exported, both on the owning worker thread.
-    ///
-    /// Augmentation RNG is derived per micro-batch from
-    /// [`parallel::microbatch_seed`], so results depend only on the seed and
-    /// worker count — never on thread scheduling.
-    ///
-    /// Worker panics are contained per micro-batch: a crashed or poisoned
-    /// replica degrades the step to the surviving replicas' gradients
-    /// (re-averaged) instead of aborting the process; a round with no
-    /// survivors is skipped like any other anomalous step. The panicking
-    /// worker thread itself survives and serves later rounds.
-    fn pretrain_parallel(
-        &mut self,
-        pool: &[MultiSeries],
-        pcfg: &PretrainConfig,
-        workers: usize,
-    ) -> Result<PretrainReport, TrainError> {
-        /// One dispatched micro-batch: (augmentation seed, micro index,
-        /// sample indices, master weights snapshot).
-        type PoolTask = (u64, u64, Vec<usize>, Arc<Vec<f32>>);
-
-        let prepared: Vec<MultiSeries> = pool.iter().map(|s| self.prepare(s)).collect();
-        let groups = Self::group_by_var_count(&prepared);
-        // Master-thread arena: the all-reduce mean, flat master weights,
-        // and shipped worker gradients all recycle through it.
-        let _arena = aimts_tensor::arena::enable();
-
-        let params: Vec<Tensor> = self
-            .named_parameters()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        let mut opt = Adam::new(params.clone(), pcfg.lr);
-        let mut sched = StepLr::new(pcfg.lr, pcfg.lr_step, pcfg.lr_gamma);
-        // Drives shuffling only; augmentation seeds are derived per
-        // micro-batch.
-        let mut rng = StdRng::seed_from_u64(pcfg.seed);
-        let mut mon = HealthMonitor::new(pcfg.health.clone());
-        // The fault plan is fixed at construction; capture it by value so
-        // the worker closure does not borrow the monitor.
-        let fault = mon.policy().fault;
-
-        // An epoch can never yield more micro-batches than this, so extra
-        // replicas would sit idle.
-        let max_micro: usize = groups.values().map(|g| g.len().div_ceil(2)).sum();
-        let workers = workers.min(max_micro.max(1));
-
-        let mut epoch_losses = Vec::with_capacity(pcfg.epochs);
-        let mut steps = 0usize;
-        let (mut last_proto, mut last_si) = (0f32, 0f32);
-        let mut micro_counter = 0u64;
-        let mut epoch = 0usize;
-        if let Some(path) = &pcfg.checkpoint.resume_from {
-            let st = self.restore_pretrain(path, pcfg, workers as u32, &mut opt, &mut sched)?;
-            rng = StdRng::from_state(st.rng_state);
-            epoch = st.epochs_done as usize;
-            steps = st.steps as usize;
-            micro_counter = st.micro_counter;
-            epoch_losses = st.epoch_losses;
-            last_proto = st.last_proto;
-            last_si = st.last_si;
+    /// Fold a `W >= 2` round's results into this model's `.grad` slots: the
+    /// mean of every gradient whose loss and values are finite. The other
+    /// micro-batches are counted as panicked or poisoned.
+    fn average_round(
+        &self,
+        results: Vec<Result<MicroGrad, String>>,
+        opt: &Adam,
+        mon: &HealthMonitor,
+        attempt: u64,
+    ) -> RoundGrad {
+        let (mut panics, mut poisoned) = (0, 0);
+        let (mut stats, mut grads) = (Vec::new(), Vec::new());
+        for r in results {
+            match r {
+                Err(msg) => {
+                    eprintln!("warning: pre-training worker panicked: {msg}");
+                    panics += 1;
+                }
+                Ok(mg)
+                    if mon.loss_is_bad(mg.loss, attempt)
+                        || !aimts_tensor::all_finite(&mg.gradient) =>
+                {
+                    poisoned += 1;
+                }
+                Ok(mg) => {
+                    stats.push([mg.loss, mg.proto_loss, mg.si_loss]);
+                    grads.push(mg.gradient);
+                }
+            }
         }
-        // Replicate *after* a potential restore so workers start from the
-        // checkpointed weights.
-        let replicas: Vec<AimTs> = (0..workers).map(|_| self.replicate()).collect();
-        // In-memory rollback target (see `pretrain_serial`).
-        let mut last_good = build_pretrain_checkpoint(
-            self,
-            &opt.export_state(),
-            &sched.export_state(),
-            &PretrainState {
-                steps: steps as u64,
-                epochs_done: epoch as u64,
-                base_seed: pcfg.seed,
-                rng_state: rng.state(),
-                micro_counter,
-                workers: workers as u32,
-                epoch_losses: epoch_losses.clone(),
-                last_proto,
-                last_si,
-            },
-        );
-
-        parallel::with_worker_pool(
-            workers,
-            |slot, (seed, micro, batch, master): PoolTask| {
-                if fault.forces_panic(micro) {
-                    // aimts-lint: allow(A001, deliberate fault injection: the resilience suite requires a real worker panic)
-                    panic!("injected worker panic on micro-batch {micro}");
-                }
-                let replica = &replicas[slot];
-                replica.load_flat(&master);
-                let samples: Vec<&MultiSeries> = batch.iter().map(|&i| &prepared[i]).collect();
-                replica.microbatch_gradient(&samples, seed)
-            },
-            |pool| -> Result<PretrainReport, TrainError> {
-                while epoch < pcfg.epochs {
-                    // The epoch's schedule up front: (derived seed, micro index,
-                    // sample indices).
-                    let mut schedule: Vec<(u64, u64, Vec<usize>)> = Vec::new();
-                    for idxs in groups.values() {
-                        for batch in batch_indices(idxs.len(), pcfg.batch_size, &mut rng) {
-                            let seed =
-                                parallel::microbatch_seed(pcfg.seed, epoch as u64, micro_counter);
-                            schedule.push((
-                                seed,
-                                micro_counter,
-                                batch.iter().map(|&k| idxs[k]).collect(),
-                            ));
-                            micro_counter += 1;
-                        }
-                    }
-                    let mut losses_this_epoch = Vec::new();
-                    let (mut protos, mut sis) = (Vec::new(), Vec::new());
-                    let mut rollback: Option<String> = None;
-                    'rounds: for round in schedule.chunks(workers) {
-                        let attempt = mon.begin_attempt();
-                        let master = Arc::new(self.flat_parameters());
-                        let tasks: Vec<PoolTask> = round
-                            .iter()
-                            .map(|(seed, micro, batch)| {
-                                (*seed, *micro, batch.clone(), Arc::clone(&master))
-                            })
-                            .collect();
-                        let results = pool.run_round(tasks);
-                        // Every worker dropped its snapshot clone before reporting;
-                        // reclaim the master buffer for the next round.
-                        if let Ok(buf) = Arc::try_unwrap(master) {
-                            aimts_tensor::arena::recycle(buf);
-                        }
-                        let forced = fault.forces_bad(attempt);
-                        let mut grads = Vec::with_capacity(results.len());
-                        let mut stats = Vec::with_capacity(results.len());
-                        let (mut panics, mut poisoned) = (0usize, 0usize);
-                        for r in results {
-                            match r {
-                                Err(msg) => {
-                                    eprintln!("warning: pre-training worker panicked: {msg}");
-                                    panics += 1;
-                                }
-                                Ok(mg) => {
-                                    if forced
-                                        || !mg.loss.is_finite()
-                                        || !aimts_tensor::all_finite(&mg.gradient)
-                                    {
-                                        poisoned += 1;
-                                    } else {
-                                        stats.push((mg.loss, mg.proto_loss, mg.si_loss));
-                                        grads.push(mg.gradient);
-                                    }
-                                }
-                            }
-                        }
-                        if grads.is_empty() {
-                            // No usable gradient in the whole round: skip the step.
-                            mon.record_lost_round(panics);
-                            if mon.record_skip() == StepVerdict::RollBack {
-                                rollback = Some(format!(
-                                    "{} consecutive anomalous steps (last round: \
-                             {panics} worker panics, {poisoned} poisoned gradients)",
-                                    mon.policy().max_bad_steps.max(1)
-                                ));
-                                break 'rounds;
-                            }
-                            continue;
-                        }
-                        let (mean, excluded) = parallel::all_reduce_mean_guarded(&grads)
-                            // aimts-lint: allow(A001, survivors were filtered to all-finite buffers two lines above)
-                            .expect("surviving gradient buffers are all-finite");
-                        debug_assert_eq!(excluded, 0, "survivors were pre-filtered");
-                        opt.zero_grad();
-                        self.accumulate_flat_gradient(&mean);
-                        // The mean is folded into `.grad` slots and the per-worker
-                        // buffers are summed; all of them can go back to the pool.
-                        aimts_tensor::arena::recycle(mean);
-                        for g in grads {
-                            aimts_tensor::arena::recycle(g);
-                        }
-                        let (norm, clipped) = guard_and_clip(&params, mon.policy().clip_norm);
-                        if !norm.is_finite() {
-                            // Unreachable when the survivors are finite; kept as a
-                            // defensive guard so a logic error skips instead of
-                            // stepping on garbage.
-                            opt.zero_grad();
-                            mon.record_lost_round(panics);
-                            if mon.record_skip() == StepVerdict::RollBack {
-                                rollback = Some(format!("non-finite gradient norm {norm}"));
-                                break 'rounds;
-                            }
-                            continue;
-                        }
-                        opt.step();
-                        steps += 1;
-                        if !params_all_finite(&params) {
-                            mon.record_lost_round(panics);
-                            rollback = Some("non-finite parameter after optimizer step".into());
-                            break 'rounds;
-                        }
-                        mon.record_step(norm, clipped);
-                        mon.record_degraded(panics, poisoned);
-                        for (l, lp, lsi) in stats {
-                            losses_this_epoch.push(l as f64);
-                            protos.push(lp as f64);
-                            sis.push(lsi as f64);
-                        }
-                    }
-                    if let Some(reason) = rollback {
-                        let st =
-                            self.rollback(&last_good, &mut opt, &mut sched, &mut mon, &reason)?;
-                        rng = StdRng::seed_from_u64(parallel::microbatch_seed(
-                            st.rng_state,
-                            RESHUFFLE_STREAM,
-                            mon.report().rollbacks as u64,
-                        ));
-                        epoch = st.epochs_done as usize;
-                        steps = st.steps as usize;
-                        micro_counter = st.micro_counter;
-                        epoch_losses = st.epoch_losses;
-                        last_proto = st.last_proto;
-                        last_si = st.last_si;
-                        continue;
-                    }
-                    epoch_losses.push(mean_or_nan(&losses_this_epoch));
-                    last_proto = mean_or_nan(&protos);
-                    last_si = mean_or_nan(&sis);
-                    mon.end_epoch();
-                    sched.step(&mut opt);
-                    last_good = build_pretrain_checkpoint(
-                        self,
-                        &opt.export_state(),
-                        &sched.export_state(),
-                        &PretrainState {
-                            steps: steps as u64,
-                            epochs_done: (epoch + 1) as u64,
-                            base_seed: pcfg.seed,
-                            rng_state: rng.state(),
-                            micro_counter,
-                            workers: workers as u32,
-                            epoch_losses: epoch_losses.clone(),
-                            last_proto,
-                            last_si,
-                        },
-                    );
-                    maybe_write_checkpoint(pcfg, epoch + 1, &last_good)?;
-                    epoch += 1;
-                }
-                Ok(PretrainReport {
-                    final_loss: epoch_losses.last().copied().unwrap_or(f32::NAN),
-                    epoch_losses,
-                    steps,
-                    final_proto_loss: last_proto,
-                    final_si_loss: last_si,
-                    workers,
-                    health: mon.into_report(),
-                })
-            },
-        )
+        if grads.is_empty() {
+            let grad = Err(format!(
+                "{panics} worker panics, {poisoned} poisoned gradients"
+            ));
+            return RoundGrad {
+                grad,
+                panics,
+                poisoned,
+            };
+        }
+        let (mean, excluded) = parallel::all_reduce_mean_guarded(&grads)
+            // aimts-lint: allow(A001, survivors were filtered to all-finite buffers above)
+            .expect("surviving gradient buffers are all-finite");
+        debug_assert_eq!(excluded, 0, "survivors were pre-filtered");
+        opt.zero_grad();
+        self.accumulate_flat_gradient(&mean);
+        // The mean is folded into `.grad` slots and the per-worker buffers
+        // are summed; all of them can go back to the pool.
+        aimts_tensor::arena::recycle(mean);
+        for g in grads {
+            aimts_tensor::arena::recycle(g);
+        }
+        RoundGrad {
+            grad: Ok(stats),
+            panics,
+            poisoned,
+        }
     }
 
     /// Zero all gradients, run one pre-training step on already-prepared
@@ -984,44 +841,35 @@ impl AimTs {
             ts_proj: self.ts_proj.replicate(),
             image_encoder: self.image_encoder.replicate(),
             img_proj: self.img_proj.replicate(),
-            seed: self.seed,
             layout: OnceLock::new(),
         }
     }
 
-    /// Clone the TS encoder (architecture + current weights).
+    /// Clone the TS encoder (architecture + current weights) as a
+    /// trainable deep copy (see [`Replicate`]).
     pub(crate) fn clone_ts_encoder(&self) -> TsEncoder {
-        let fresh = TsEncoder::new(
-            self.cfg.hidden,
-            self.cfg.repr_dim,
-            &self.cfg.dilations,
-            self.seed,
-        );
-        let mut src = Vec::new();
-        self.ts_encoder.named_parameters("enc", &mut src);
-        let mut dst = Vec::new();
-        fresh.named_parameters("enc", &mut dst);
-        for ((_, s), (_, d)) in src.iter().zip(&dst) {
-            d.set_data(&s.to_vec());
-        }
-        fresh
+        self.ts_encoder.replicate()
     }
 }
 
-/// Stream tag for the post-rollback re-shuffle (see `AimTs::rollback`):
+/// Stream tag for the post-rollback re-shuffle (see `AimTs::train_epochs`):
 /// mixed with the last-good RNG state and the rollback ordinal via
 /// [`parallel::microbatch_seed`] so each replay walks a fresh — but still
 /// deterministic — shuffling stream.
 const RESHUFFLE_STREAM: u64 = 0x5E1F_4EA1;
 
-/// Epoch-loss aggregation that tolerates an epoch whose every step was
-/// skipped (no samples → `NaN`, which the report surfaces honestly).
-fn mean_or_nan(xs: &[f64]) -> f32 {
-    if xs.is_empty() {
-        f32::NAN
-    } else {
-        Summary::of(xs).mean as f32
-    }
+/// Epoch means of the `(loss, L_proto, L_SI)` of every micro-batch a step
+/// used. Tolerates an epoch whose every step was skipped (no samples →
+/// `NaN`, which the report surfaces honestly).
+fn epoch_means(used: &[[f32; 3]]) -> [f32; 3] {
+    std::array::from_fn(|k| {
+        if used.is_empty() {
+            f32::NAN
+        } else {
+            let column: Vec<f64> = used.iter().map(|u| u[k] as f64).collect();
+            Summary::of(&column).mean as f32
+        }
+    })
 }
 
 /// Write the periodic checkpoint for the just-finished epoch when the
@@ -1076,7 +924,6 @@ impl Replicate for AimTs {
             ts_proj: self.ts_proj.freeze(),
             image_encoder: self.image_encoder.freeze(),
             img_proj: self.img_proj.freeze(),
-            seed: self.seed,
             layout: OnceLock::new(),
         }
     }
@@ -1217,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gradients_match_serial_within_tolerance() {
+    fn replica_gradients_match_master_bit_for_bit() {
         let model = AimTs::new(AimTsConfig::tiny(), 42);
         let pool = tiny_pool(16);
         let prepared: Vec<MultiSeries> = pool.iter().map(|s| model.prepare(s)).collect();
@@ -1231,35 +1078,31 @@ mod tests {
             .enumerate()
             .map(|(i, pair)| (11 * (i as u64 + 1), pair.to_vec()))
             .collect();
-        // Serial reference: each micro-batch gradient on the master model.
-        let serial: Vec<Vec<f32>> = mbs
-            .iter()
-            .map(|(seed, idx)| {
-                let s: Vec<&MultiSeries> = idx.iter().map(|&i| &prepared[i]).collect();
-                model.microbatch_gradient(&s, *seed).gradient
-            })
-            .collect();
-        let expect = crate::parallel::all_reduce_mean(&serial);
-        // Threaded: four replicas computing the same micro-batches at once.
-        let replicas: Vec<AimTs> = (0..4).map(|_| model.replicate()).collect();
-        let master = model.flat_parameters();
-        let results = crate::parallel::parallel_map(&mbs, 4, |slot, (seed, idx)| {
-            let replica = &replicas[slot];
-            replica.load_flat(&master);
+        let gradient = |m: &AimTs, (seed, idx): &(u64, Vec<usize>)| -> Vec<u32> {
             let s: Vec<&MultiSeries> = idx.iter().map(|&i| &prepared[i]).collect();
-            replica.microbatch_gradient(&s, *seed).gradient
-        });
-        let got = crate::parallel::all_reduce_mean(&results);
-        assert_eq!(expect.len(), got.len());
-        let worst = expect
-            .iter()
-            .zip(&got)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0f32, f32::max);
-        assert!(
-            worst <= 1e-5,
-            "serial vs threaded gradient diverged: {worst}"
+            let g = m.microbatch_gradient(&s, *seed).gradient;
+            g.iter().map(|v| v.to_bits()).collect()
+        };
+        // Reference: each micro-batch gradient on the master model.
+        let master: Vec<Vec<u32>> = mbs.iter().map(|mb| gradient(&model, mb)).collect();
+        // The same micro-batches as one round of a four-worker pool, each
+        // on its own replica and thread.
+        let replicas: Vec<AimTs> = (0..4).map(|_| model.replicate()).collect();
+        let weights = model.flat_parameters();
+        let pooled = crate::parallel::with_worker_pool(
+            4,
+            |slot, mb: (u64, Vec<usize>)| {
+                replicas[slot].load_flat(&weights);
+                gradient(&replicas[slot], &mb)
+            },
+            |pool| pool.run_round(mbs.clone()),
         );
+        for (k, (want, got)) in master.iter().zip(pooled).enumerate() {
+            assert!(
+                got.as_ref() == Ok(want),
+                "micro-batch {k}: replica gradient differs from the master's"
+            );
+        }
     }
 
     #[test]

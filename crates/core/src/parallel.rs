@@ -1,6 +1,6 @@
 //! Data-parallel training utilities: worker-count resolution (the
-//! `AIMTS_THREADS` knob), a persistent worker pool, an ordered
-//! scoped-thread map, and the gradient all-reduce used by
+//! `AIMTS_THREADS` knob), the persistent worker pool, per-micro-batch
+//! seeds, and the finite-guarded gradient all-reduce used by
 //! [`crate::AimTs::pretrain`].
 //!
 //! The scheme is replica-per-worker: each worker owns a deep copy of the
@@ -9,12 +9,14 @@
 //! happen on the worker thread), and the master averages the flat
 //! gradients and steps its optimizer once.
 //!
-//! [`with_worker_pool`] is the training loop's engine: it spawns the
-//! worker threads **once** per pre-training run (each with its buffer
-//! arena enabled — see [`aimts_tensor::arena`]), and every round ships
-//! tasks over per-slot channels. Slot `i` always runs on the same thread,
-//! so replica `i`'s tensors, arena pool, and caches stay thread-local for
-//! the whole run — the property the lock-free hot storage relies on.
+//! [`with_worker_pool`] is the one thread mechanism: it spawns the worker
+//! threads **once** per pre-training run (each with its buffer arena
+//! enabled — see [`aimts_tensor::arena`]), and every round ships tasks
+//! over per-slot channels. Slot `i` always runs on the same thread, so
+//! replica `i`'s tensors, arena pool, and caches stay thread-local for the
+//! whole run — the property the lock-free hot storage relies on. A run
+//! resolved to one worker starts no pool: pre-training then computes each
+//! micro-batch on the calling thread.
 
 use std::env;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,7 +29,7 @@ pub const THREADS_ENV: &str = "AIMTS_THREADS";
 ///
 /// Priority: an explicit `requested > 0`, then a positive integer in
 /// `AIMTS_THREADS`, then the machine's available parallelism. A result of
-/// `1` selects the serial training path.
+/// `1` makes pre-training compute every micro-batch on the calling thread.
 pub fn worker_count(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -43,25 +45,6 @@ pub fn worker_count(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Element-wise mean of equally-sized gradient buffers (the all-reduce).
-/// Panics on an empty slice or mismatched lengths.
-///
-/// Accumulation and scaling run through the SIMD kernels
-/// ([`aimts_tensor::simd`]), which are bit-identical to the scalar loops
-/// they replaced, and the output buffer is arena-backed when the calling
-/// thread has a pool enabled.
-pub fn all_reduce_mean(buffers: &[Vec<f32>]) -> Vec<f32> {
-    assert!(!buffers.is_empty(), "all_reduce_mean of zero buffers");
-    let n = buffers[0].len();
-    let mut out = aimts_tensor::arena::zeroed(n);
-    for b in buffers {
-        assert_eq!(b.len(), n, "all_reduce_mean buffer length mismatch");
-        aimts_tensor::simd::add_assign(&mut out, b);
-    }
-    aimts_tensor::simd::scale_assign(&mut out, 1.0 / buffers.len() as f32);
-    out
-}
-
 /// Finite-guarded all-reduce: the element-wise mean over only the buffers
 /// that are entirely finite, with poisoned (any-`NaN`/`inf`) buffers
 /// excluded from the average. Returns `None` when every buffer is
@@ -71,7 +54,7 @@ pub fn all_reduce_mean(buffers: &[Vec<f32>]) -> Vec<f32> {
 /// Accumulation runs in `f64`, so the sum of finite `f32` values can never
 /// overflow and the mean of the survivors — which is bounded by their
 /// maximum — is always finite. Panics on an empty slice or mismatched
-/// lengths, like [`all_reduce_mean`].
+/// lengths.
 pub fn all_reduce_mean_guarded(buffers: &[Vec<f32>]) -> Option<(Vec<f32>, usize)> {
     assert!(
         !buffers.is_empty(),
@@ -174,10 +157,12 @@ impl<T, R> PoolHandle<T, R> {
 /// all rounds — with the thread's buffer arena enabled for its lifetime,
 /// so the steady-state training step allocates nothing.
 ///
-/// This replaces the spawn-per-round scheme ([`try_parallel_map`], which
-/// survives for one-shot maps): spawning cost is paid once per run instead
-/// of once per optimizer step, and each replica's buffers stay on one
-/// thread forever.
+/// Spawning cost is paid once per run instead of once per optimizer step,
+/// and each replica's buffers stay on one thread forever. A panic inside
+/// `f` is caught at the task boundary, before it can cross
+/// `std::thread::scope`'s join, and tensor storage locks shrug off
+/// poisoning (their writers only overwrite whole buffers), so one crashed
+/// task cannot leak torn state into later rounds.
 pub fn with_worker_pool<T, R, F, G, Out>(workers: usize, f: F, body: G) -> Out
 where
     T: Send,
@@ -212,75 +197,6 @@ where
     })
 }
 
-/// [`parallel_map`] with per-item panic containment: a panic inside
-/// `f(slot, item)` is caught on the worker thread and surfaced as
-/// `Err(message)` in that item's slot, while every other item — including
-/// later items of the same worker's chunk — still runs to completion.
-///
-/// This is what lets one crashed data-parallel replica degrade a training
-/// step to the surviving replicas' gradients instead of aborting the
-/// process. Lock poisoning cannot leak out of the failure path: tensor
-/// storage locks already shrug off poisoning (their writers only overwrite
-/// whole buffers, never leaving torn state), and the unwind is stopped at
-/// the item boundary before it can cross `std::thread::scope`'s join.
-pub fn try_parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let run_one = |slot: usize, item: &T| -> Result<R, String> {
-        catch_unwind(AssertUnwindSafe(|| f(slot, item))).map_err(panic_message)
-    };
-    let w = workers.max(1).min(items.len().max(1));
-    if w <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| run_one(i, t))
-            .collect();
-    }
-    let chunk = items.len().div_ceil(w);
-    let mut out: Vec<Option<Result<R, String>>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (ci, (islice, oslice)) in items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
-            let run_one = &run_one;
-            s.spawn(move || {
-                for (j, (item, slot)) in islice.iter().zip(oslice.iter_mut()).enumerate() {
-                    *slot = Some(run_one(ci * chunk + j, item));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        // aimts-lint: allow(A001, every slot is written exactly once by the scoped worker that owns it)
-        .map(|r| r.expect("parallel_map worker produced no result"))
-        .collect()
-}
-
-/// Run `f(slot, item)` for every item on up to `workers` scoped threads,
-/// returning results in item order. `slot` is the item's position within
-/// this call (`0..items.len()`), so with `items.len() <= workers` each
-/// invocation gets a dedicated slot — callers use it to index per-worker
-/// replicas. With one worker (or one item) everything runs inline on the
-/// calling thread.
-///
-/// A panicking item re-raises the panic on the *calling* thread (after all
-/// other items have completed); callers that must survive worker crashes
-/// use [`try_parallel_map`] instead.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_parallel_map(items, workers, f)
-        .into_iter()
-        // aimts-lint: allow(A001, documented contract: parallel_map re-raises worker panics on the caller)
-        .map(|r| r.unwrap_or_else(|msg| panic!("parallel_map worker panicked: {msg}")))
-        .collect()
-}
-
 /// Deterministic per-micro-batch RNG seed (SplitMix64 finalizer), so the
 /// augmentations a micro-batch draws depend only on `(base, epoch, index)`
 /// — never on thread scheduling or worker count.
@@ -309,42 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_mean_averages() {
-        let avg = all_reduce_mean(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
-        assert_eq!(avg, vec![2.0, 4.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
-    fn all_reduce_mean_rejects_ragged() {
-        let _ = all_reduce_mean(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..37).collect();
-        for w in [1, 2, 4, 8] {
-            let out = parallel_map(&items, w, |slot, &x| {
-                assert!(slot < items.len());
-                x * 2
-            });
-            assert_eq!(
-                out,
-                items.iter().map(|x| x * 2).collect::<Vec<_>>(),
-                "w={w}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_map_slots_unique_when_items_fit() {
-        use std::sync::Mutex;
-        let items = [0u8; 4];
-        let seen = Mutex::new(Vec::new());
-        parallel_map(&items, 4, |slot, _| seen.lock().unwrap().push(slot));
-        let mut slots = seen.into_inner().unwrap();
-        slots.sort_unstable();
-        assert_eq!(slots, vec![0, 1, 2, 3]);
+    fn all_reduce_mean_guarded_rejects_ragged() {
+        let _ = all_reduce_mean_guarded(&[vec![1.0], vec![1.0, 2.0]]);
     }
 
     #[test]
@@ -371,42 +254,6 @@ mod tests {
         let (mean, excluded) = all_reduce_mean_guarded(&buffers).unwrap();
         assert_eq!(excluded, 0);
         assert_eq!(mean, vec![f32::MAX]);
-    }
-
-    #[test]
-    fn try_parallel_map_contains_panics() {
-        let items: Vec<usize> = (0..9).collect();
-        for w in [1, 2, 4] {
-            let out = try_parallel_map(&items, w, |_slot, &x| {
-                if x == 4 {
-                    panic!("injected panic on item {x}");
-                }
-                x * 10
-            });
-            assert_eq!(out.len(), items.len(), "w={w}");
-            for (i, r) in out.iter().enumerate() {
-                if i == 4 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("injected panic"), "w={w}: {msg}");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 10, "w={w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_repanics_on_caller_thread() {
-        let items = [0usize, 1];
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map(&items, 2, |_slot, &x| {
-                if x == 1 {
-                    panic!("boom");
-                }
-                x
-            })
-        });
-        assert!(caught.is_err());
     }
 
     #[test]

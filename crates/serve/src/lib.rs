@@ -55,7 +55,7 @@ pub use batcher::{BatchPolicy, Pending, Response};
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use chaos::{poison_trap, ChaosPlan, POISON_SENTINEL};
 pub use deadline::{Deadline, Priority, SubmitOptions};
-pub use loadgen::{run_loadgen, write_report, LoadReport, LoadgenConfig};
+pub use loadgen::{default_report_path, run_loadgen, write_report, LoadReport, LoadgenConfig};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use net::NetPolicy;
 pub use registry::{ModelRegistry, ModelVersion, DEFAULT_MODEL};

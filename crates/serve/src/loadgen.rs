@@ -10,7 +10,7 @@
 //! under any schedule, including saturation and shutdown races; the CLI
 //! and the chaos suite both fail a run with `lost > 0`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -190,13 +190,18 @@ pub fn run_loadgen(server: &Server, pool: &[MultiSeries], cfg: &LoadgenConfig) -
     }
 }
 
-/// Write `report` to `bench_results/serve_load.json` (pretty JSON, same
-/// location convention as the bench harness) and return the path.
-pub fn write_report(report: &LoadReport) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("serve_load.json");
+/// Where `aimts-cli loadgen` records its report:
+/// `bench_results/serve_load.json`, the bench harness's location
+/// convention.
+pub fn default_report_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/serve_load.json")
+}
+
+/// Write `report` to `path` as pretty JSON, creating its directory.
+pub fn write_report(report: &LoadReport, path: &Path) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     let json = serde_json::to_string_pretty(report).expect("serialize load report");
-    std::fs::write(&path, json).expect("write serve_load.json");
-    path
+    std::fs::write(path, json)
 }

@@ -5,9 +5,10 @@
 
 use std::path::PathBuf;
 
-use aimts::{checkpoint_path, AimTs, AimTsConfig, CheckpointPolicy, PretrainConfig};
+use aimts::{checkpoint_path, AimTs, AimTsConfig, CheckpointPolicy, PretrainConfig, TrainError};
 use aimts_data::archives::monash_like_pool;
 use aimts_data::MultiSeries;
+use aimts_nn::CheckpointError;
 
 const EPOCHS: usize = 4;
 const HALF: usize = EPOCHS / 2;
@@ -131,10 +132,10 @@ fn serial_resume_is_bit_exact() {
 }
 
 /// The persistent worker pool pins micro-batch slot i to worker thread i for
-/// the whole run, and the SIMD all-reduce is bitwise-deterministic, so the
-/// 4-worker resume is held to the same bit-exactness bar as serial — the
-/// resumed process spawns a fresh pool yet must replay the identical
-/// trajectory.
+/// the whole run, and the all-reduce sums the gradients in f64 in slot
+/// order, so the 4-worker resume is held to the same bit-exactness bar as
+/// serial — the resumed process spawns a fresh pool yet must replay the
+/// identical trajectory.
 #[test]
 fn parallel_resume_is_bit_exact() {
     run_interrupted_vs_straight(
@@ -202,6 +203,67 @@ fn resume_rejects_mismatched_seed_and_topology() {
     assert!(resume(3407, 4).is_err());
     // Matching run is accepted.
     assert!(resume(3407, 1).is_ok());
+}
+
+/// Asking for two workers on a pool whose epochs yield one micro-batch
+/// each still runs the per-micro-batch-seed path at two workers. The report
+/// and the checkpoints say so, a one-worker resume (which would continue on
+/// the shared RNG stream instead) is refused, and a two-worker resume is
+/// bit-exact.
+#[test]
+fn clamped_two_worker_run_is_never_recorded_as_one_worker() {
+    let pool: Vec<MultiSeries> = tiny_pool().into_iter().take(2).collect();
+    assert_eq!(pool[0].len(), pool[1].len(), "one variable-count group");
+    let dir = tmp_dir("clamped");
+    let cfg = |workers: usize, checkpoint: CheckpointPolicy| PretrainConfig {
+        epochs: 2,
+        ..pcfg(workers, checkpoint)
+    };
+    let mut straight = AimTs::new(AimTsConfig::tiny(), 1);
+    let report = straight
+        .pretrain(
+            &pool,
+            &cfg(
+                2,
+                CheckpointPolicy {
+                    dir: Some(dir.clone()),
+                    every: 1,
+                    keep_last: 0,
+                    resume_from: None,
+                },
+            ),
+        )
+        .unwrap();
+    assert_eq!(report.workers, 2);
+
+    let resume = |workers: usize| {
+        let mut model = AimTs::new(AimTsConfig::tiny(), 999);
+        let policy = CheckpointPolicy {
+            resume_from: Some(checkpoint_path(&dir, 1)),
+            ..CheckpointPolicy::default()
+        };
+        let report = model.pretrain(&pool, &cfg(workers, policy));
+        (model, report)
+    };
+    let (_, refused) = resume(1);
+    assert!(
+        matches!(
+            refused,
+            Err(TrainError::Checkpoint(CheckpointError::Incompatible { .. }))
+        ),
+        "a one-worker resume of a two-worker checkpoint must be refused, got {refused:?}"
+    );
+    let (resumed, resumed_report) = resume(2);
+    let resumed_report = resumed_report.unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(&resumed_report.epoch_losses),
+        bits(&report.epoch_losses)
+    );
+    assert_eq!(
+        bits(&resumed.flat_parameters()),
+        bits(&straight.flat_parameters())
+    );
 }
 
 #[test]
