@@ -1,15 +1,15 @@
-//! A lightweight structural layer over the token stream: `impl` extents,
-//! `unsafe` sites, a statement/block tree, and `match`-arm splitting.
+//! A lightweight structural layer over the token stream: brace matching,
+//! a statement/block tree, and `match`-arm splitting.
 //!
 //! This is deliberately not a full parser — the vendored dependencies are
 //! API shims, so `syn` is unavailable — but it recovers exactly the
-//! structure the dataflow rules (A006–A012) need: which braces open
+//! structure the dataflow rules (A008, A010) need: which braces open
 //! blocks, where statements begin and end, and which tokens belong to
 //! which `match` arm. Everything is expressed as index ranges into the
 //! flat token stream so rules can mix structural and token-pattern
 //! matching freely.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 
 /// Index of the `}` matching the `{` at `open` (or the last token when
 /// the file is truncated mid-block).
@@ -28,26 +28,6 @@ pub fn match_brace(tokens: &[Token], open: usize) -> usize {
         j += 1;
     }
     tokens.len().saturating_sub(1)
-}
-
-// ---------------------------------------------------------------------
-// impl extents
-// ---------------------------------------------------------------------
-
-/// One `impl` item: the implementing type's final path segment and the
-/// token range of the body (inclusive of both braces).
-#[derive(Debug, Clone)]
-pub struct ImplExtent {
-    /// Last identifier of the implemented type (`HotReadGuard` for
-    /// `impl Deref for HotReadGuard<'_>`).
-    pub type_name: String,
-    pub body: (usize, usize),
-}
-
-impl ImplExtent {
-    pub fn contains(&self, index: usize) -> bool {
-        self.body.0 <= index && index <= self.body.1
-    }
 }
 
 /// Skip a generic parameter list starting at the `<` at `i`; returns the
@@ -72,91 +52,6 @@ pub(crate) fn skip_generics(tokens: &[Token], i: usize) -> usize {
         }
     }
     j
-}
-
-/// Every `impl` item in the file with a resolvable body.
-pub fn impls(tokens: &[Token]) -> Vec<ImplExtent> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !tokens[i].is_ident("impl") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if j < tokens.len() && tokens[j].is_punct("<") {
-            j = skip_generics(tokens, j);
-        }
-        // Scan the type position: the segment after `for` wins (trait
-        // impls), otherwise the first segment. Idents after a `<` are
-        // generic arguments, not the type's own name.
-        let mut name = String::new();
-        let mut in_args = 0i32;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            if t.is_punct("{") || t.is_ident("where") {
-                break;
-            }
-            if t.is_punct("<") {
-                in_args += 1;
-            } else if t.is_punct(">") {
-                in_args -= 1;
-            } else if t.is_ident("for") && in_args == 0 {
-                name.clear();
-            } else if t.kind == TokenKind::Ident && in_args == 0 {
-                name = t.text.clone();
-            }
-            j += 1;
-        }
-        if j < tokens.len() && tokens[j].is_punct("{") {
-            let close = match_brace(tokens, j);
-            out.push(ImplExtent {
-                type_name: name,
-                body: (j, close),
-            });
-            // Nested impls don't occur; continue past the header only so
-            // fns inside the body are still visible to other passes.
-        }
-        i = j + 1;
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// unsafe sites
-// ---------------------------------------------------------------------
-
-/// What an `unsafe` keyword introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    Block,
-    Fn,
-    Impl,
-}
-
-/// One `unsafe` keyword with its token index.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    pub kind: UnsafeKind,
-    pub index: usize,
-}
-
-/// Every `unsafe` keyword in the file, classified by what follows it.
-pub fn unsafe_sites(tokens: &[Token]) -> Vec<UnsafeSite> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        if !tokens[i].is_ident("unsafe") {
-            continue;
-        }
-        let kind = match tokens.get(i + 1) {
-            Some(t) if t.is_punct("{") => UnsafeKind::Block,
-            Some(t) if t.is_ident("fn") || t.is_ident("extern") => UnsafeKind::Fn,
-            Some(t) if t.is_ident("impl") || t.is_ident("trait") => UnsafeKind::Impl,
-            _ => UnsafeKind::Block,
-        };
-        out.push(UnsafeSite { kind, index: i });
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -360,34 +255,6 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect::<Vec<_>>()
             .join(" ")
-    }
-
-    #[test]
-    fn impl_names_trait_and_inherent() {
-        let t = toks("impl Foo { fn a() {} } impl ops::Deref for BarGuard<'_> { }");
-        let im = impls(&t);
-        assert_eq!(im.len(), 2);
-        assert_eq!(im[0].type_name, "Foo");
-        assert_eq!(im[1].type_name, "BarGuard");
-    }
-
-    #[test]
-    fn impl_with_generics() {
-        let t = toks("impl<T: Clone> Wrapper<T> { fn g() {} }");
-        let im = impls(&t);
-        assert_eq!(im.len(), 1);
-        assert_eq!(im[0].type_name, "Wrapper");
-    }
-
-    #[test]
-    fn unsafe_site_kinds() {
-        let t = toks("unsafe impl Send for X {} unsafe fn f() {} fn g() { unsafe { h(); } }");
-        let sites = unsafe_sites(&t);
-        let kinds: Vec<UnsafeKind> = sites.iter().map(|s| s.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![UnsafeKind::Impl, UnsafeKind::Fn, UnsafeKind::Block]
-        );
     }
 
     #[test]

@@ -39,29 +39,6 @@ impl Token {
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == s
     }
-
-    /// Whether this numeric literal is a float (`1.0`, `1e-3`, `2f32`).
-    pub fn is_float_literal(&self) -> bool {
-        if self.kind != TokenKind::Num {
-            return false;
-        }
-        let t = &self.text;
-        if t.starts_with("0x") || t.starts_with("0o") || t.starts_with("0b") {
-            return false;
-        }
-        if t.contains('.') || t.ends_with("f32") || t.ends_with("f64") {
-            return true;
-        }
-        // A real exponent has a digit (or signed digit) after the e/E —
-        // this keeps `3usize` (which merely contains an `e`) an integer.
-        let b = t.as_bytes();
-        b.iter().enumerate().any(|(i, &c)| {
-            matches!(c, b'e' | b'E')
-                && (b.get(i + 1).is_some_and(u8::is_ascii_digit)
-                    || (matches!(b.get(i + 1), Some(b'+') | Some(b'-'))
-                        && b.get(i + 2).is_some_and(u8::is_ascii_digit)))
-        })
-    }
 }
 
 /// One comment (text includes the `//` / `/*` markers).
@@ -481,18 +458,16 @@ mod tests {
     }
 
     #[test]
-    fn float_detection() {
-        let l = lex("1.0 2 0x1F 1e-3 2f32 3usize 1.max(2) 0..4");
-        let floats: Vec<bool> = l
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Num)
-            .map(|t| t.is_float_literal())
-            .collect();
-        // 1.0, 2, 0x1F, 1e-3, 2f32, 3usize, 1, 2, 0, 4
+    fn numbers_keep_suffixes_and_stop_before_dots() {
+        // A fraction needs a digit after the `.` and an exponent a digit
+        // after the `e`, so `1.max(2)` and `0..4` start with integers and
+        // `3usize` stays one integer token.
         assert_eq!(
-            floats,
-            vec![true, false, false, true, true, false, false, false, false, false]
+            texts("1.0 2 0x1F 1e-3 2f32 3usize 1.max(2) 0..4"),
+            vec![
+                "1.0", "2", "0x1F", "1e-3", "2f32", "3usize", "1", ".", "max", "(", "2", ")", "0",
+                "..", "4"
+            ]
         );
     }
 

@@ -6,6 +6,15 @@
 //! the workspace root with path-derived rule scopes; [`check_paths`] lints
 //! explicitly named files with the full rule pack (used for fixtures).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub mod ast;
 pub mod flow;
 pub mod lexer;
@@ -151,13 +160,13 @@ mod tests {
             file: "a.rs".to_string(),
             line: 3,
             col: 7,
-            rule: "A001".to_string(),
-            message: "`panic!` in \"library\" code".to_string(),
+            rule: "A012".to_string(),
+            message: "`.backward()` on a \"frozen\" path".to_string(),
             hint: "h".to_string(),
         };
         let j = to_json(&[d]);
         assert!(j.starts_with('[') && j.ends_with(']'));
-        assert!(j.contains("\\\"library\\\""));
+        assert!(j.contains("\\\"frozen\\\""));
         assert!(j.contains("\"line\":3"));
     }
 

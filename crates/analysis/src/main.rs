@@ -9,6 +9,15 @@
 //! with explicit files it applies the full rule pack to each. Exit codes:
 //! 0 clean, 1 diagnostics found, 2 usage/IO error.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

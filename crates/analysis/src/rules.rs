@@ -1,25 +1,20 @@
-//! The rule pack: workspace invariants encoded as token-pattern rules.
+//! The rule pack: the workspace invariants that need guard liveness, path
+//! analysis or file-level scoping, which no clippy or rustc lint expresses.
 //!
 //! | id   | invariant                                                        |
 //! |------|------------------------------------------------------------------|
 //! | A000 | (meta) malformed or unused suppression pragmas                   |
-//! | A001 | no `panic!`/`unwrap()`/`expect()`/`todo!` in library code of the |
-//! |      | `tensor`/`nn`/`core`/`data` crates                               |
 //! | A002 | multi-guard lock acquisitions must be id-ordered                 |
-//! | A003 | no wall-clock / entropy sources outside `bench`/`cli`            |
-//! | A004 | no `==`/`!=` between float expressions outside tests             |
-//! | A005 | no `let _ =` discards (silently dropped `Result`s)               |
-//! | A006 | every `unsafe` block/fn/impl carries a `// SAFETY:` comment      |
-//! | A007 | no raw Hot-storage (`UnsafeCell` buffer) access outside guards   |
 //! | A008 | no guard held across channel `send`/`recv` or `catch_unwind`     |
 //! | A009 | `catch_unwind` capturing `&mut` must re-assert state after       |
 //! | A010 | request handles answered exactly once on every path              |
-//! | A011 | typed error values must not be constructed and dropped           |
 //! | A012 | no gradient-capable storage APIs on frozen inference paths       |
 //!
-//! A001–A005 are token-pattern rules; A006/A007/A011 use the structural
-//! layer in [`crate::ast`]; A008/A010 are intraprocedural dataflow in
-//! [`crate::flow`].
+//! A002/A009/A012 are token-pattern rules; A008/A010 are intraprocedural
+//! dataflow in [`crate::flow`]. The invariants clippy, rustc or field
+//! privacy already enforce (panic-freedom, wall clocks, float equality,
+//! discards, safety comments, hot-buffer access, dropped errors) are not
+//! restated here; DESIGN.md §9 maps each to its lint.
 //!
 //! Every rule can be suppressed per line with
 //! `// aimts-lint: allow(RULE, reason)`; see [`crate::scan`].
@@ -41,39 +36,9 @@ pub const CATALOG: &[RuleInfo] = &[
         hint: "write `// aimts-lint: allow(RULE, reason)` on (or right above) the offending line",
     },
     RuleInfo {
-        id: "A001",
-        summary: "no panic!/unwrap()/expect()/todo! in non-test library code of tensor/nn/core/data",
-        hint: "propagate a typed error (CheckpointError/TrainError) or allow with the invariant that makes the panic unreachable",
-    },
-    RuleInfo {
         id: "A002",
         summary: "functions holding two or more tensor-internal lock guards must acquire them in id order",
         hint: "acquire via aimts_tensor::read_pair (id-ordered), drop() the earlier guard first, or allow with a reason",
-    },
-    RuleInfo {
-        id: "A003",
-        summary: "no Instant::now/SystemTime::now/entropy-seeded RNGs outside bench/cli",
-        hint: "thread a seed or step counter through instead; bit-exact resume depends on it",
-    },
-    RuleInfo {
-        id: "A004",
-        summary: "no ==/!= between float expressions outside tests",
-        hint: "compare with an epsilon, use total_cmp, or allow when exact-zero is the intended sentinel",
-    },
-    RuleInfo {
-        id: "A005",
-        summary: "no `let _ =` discards in non-test code",
-        hint: "handle the value, call .ok() to discard a Result explicitly, or allow with a reason",
-    },
-    RuleInfo {
-        id: "A006",
-        summary: "every unsafe block/fn/impl must carry a `// SAFETY:` comment naming the invariant",
-        hint: "write `// SAFETY: <why this cannot alias or trigger UB>` directly above the unsafe keyword (attributes may sit between)",
-    },
-    RuleInfo {
-        id: "A007",
-        summary: "no raw Hot-storage buffer access (`.buf.get()`) outside HotCell or its guard impls",
-        hint: "go through HotCell::read()/write() so the debug aliasing tally observes the access",
     },
     RuleInfo {
         id: "A008",
@@ -89,11 +54,6 @@ pub const CATALOG: &[RuleInfo] = &[
         id: "A010",
         summary: "every admitted request handle must be answered exactly once on all paths",
         hint: "send exactly one reply (`req.reply.send(..)`) or move the request onward; early returns must answer first",
-    },
-    RuleInfo {
-        id: "A011",
-        summary: "typed error values must not be constructed and silently dropped",
-        hint: "return or propagate the constructed error; a bare `SomeError::X;` statement does nothing",
     },
     RuleInfo {
         id: "A012",
@@ -113,17 +73,10 @@ pub(crate) fn hint_for(id: &str) -> &'static str {
 /// Which rules apply to a file (derived from its workspace-relative path).
 #[derive(Debug, Clone, Copy)]
 pub struct Scope {
-    pub a001: bool,
     pub a002: bool,
-    pub a003: bool,
-    pub a004: bool,
-    pub a005: bool,
-    pub a006: bool,
-    pub a007: bool,
     pub a008: bool,
     pub a009: bool,
     pub a010: bool,
-    pub a011: bool,
     pub a012: bool,
 }
 
@@ -131,17 +84,10 @@ impl Scope {
     /// Every rule on — used for explicitly listed files and fixtures.
     pub fn all() -> Scope {
         Scope {
-            a001: true,
             a002: true,
-            a003: true,
-            a004: true,
-            a005: true,
-            a006: true,
-            a007: true,
             a008: true,
             a009: true,
             a010: true,
-            a011: true,
             a012: true,
         }
     }
@@ -151,17 +97,10 @@ impl Scope {
     /// fire with the rule on and go silent with only that rule off.
     pub fn without(mut self, rule: &str) -> Scope {
         match rule {
-            "A001" => self.a001 = false,
             "A002" => self.a002 = false,
-            "A003" => self.a003 = false,
-            "A004" => self.a004 = false,
-            "A005" => self.a005 = false,
-            "A006" => self.a006 = false,
-            "A007" => self.a007 = false,
             "A008" => self.a008 = false,
             "A009" => self.a009 = false,
             "A010" => self.a010 = false,
-            "A011" => self.a011 = false,
             "A012" => self.a012 = false,
             _ => {}
         }
@@ -190,17 +129,10 @@ impl Scope {
             _ => return None,
         };
         Some(Scope {
-            a001: matches!(krate, "tensor" | "nn" | "core" | "data"),
             a002: true,
-            a003: !matches!(krate, "bench" | "cli"),
-            a004: true,
-            a005: true,
-            a006: true,
-            a007: krate == "tensor",
             a008: true,
             a009: true,
             a010: krate == "serve",
-            a011: true,
             a012: krate == "serve" || (krate == "core" && rel.ends_with("infer.rs")),
         })
     }
@@ -242,26 +174,8 @@ fn diag(sf: &SourceFile, tok: &Token, rule: &str, message: String) -> Diagnostic
 /// pragma hygiene (A000). Diagnostics come back sorted by position.
 pub fn check_file(sf: &SourceFile, scope: Scope) -> Vec<Diagnostic> {
     let mut raw = Vec::new();
-    if scope.a001 {
-        a001_panic_free(sf, &mut raw);
-    }
     if scope.a002 {
         a002_lock_order(sf, &mut raw);
-    }
-    if scope.a003 {
-        a003_determinism(sf, &mut raw);
-    }
-    if scope.a004 {
-        a004_float_eq(sf, &mut raw);
-    }
-    if scope.a005 {
-        a005_discard(sf, &mut raw);
-    }
-    if scope.a006 {
-        a006_safety_comments(sf, &mut raw);
-    }
-    if scope.a007 {
-        a007_hot_access(sf, &mut raw);
     }
     if scope.a008 {
         crate::flow::check_guard_boundaries(sf, &mut raw);
@@ -271,9 +185,6 @@ pub fn check_file(sf: &SourceFile, scope: Scope) -> Vec<Diagnostic> {
     }
     if scope.a010 {
         crate::flow::check_responder_protocol(sf, &mut raw);
-    }
-    if scope.a011 {
-        a011_dropped_error(sf, &mut raw);
     }
     if scope.a012 {
         a012_storage_misuse(sf, &mut raw);
@@ -322,44 +233,6 @@ pub fn check_file(sf: &SourceFile, scope: Scope) -> Vec<Diagnostic> {
 
     raw.sort_by(|a, b| (a.line, a.col, &a.rule).cmp(&(b.line, b.col, &b.rule)));
     raw
-}
-
-// ---------------------------------------------------------------------
-// A001 — panic-freedom in library code
-// ---------------------------------------------------------------------
-
-fn a001_panic_free(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    for i in 0..t.len() {
-        if sf.in_test(t[i].line) {
-            continue;
-        }
-        if t[i].kind == TokenKind::Ident
-            && matches!(t[i].text.as_str(), "panic" | "todo" | "unimplemented")
-            && i + 1 < t.len()
-            && t[i + 1].is_punct("!")
-        {
-            out.push(diag(
-                sf,
-                &t[i],
-                "A001",
-                format!("`{}!` in library code", t[i].text),
-            ));
-        }
-        if t[i].is_punct(".")
-            && i + 2 < t.len()
-            && t[i + 1].kind == TokenKind::Ident
-            && matches!(t[i + 1].text.as_str(), "unwrap" | "expect")
-            && t[i + 2].is_punct("(")
-        {
-            out.push(diag(
-                sf,
-                &t[i + 1],
-                "A001",
-                format!("`.{}()` in library code", t[i + 1].text),
-            ));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -618,209 +491,6 @@ fn a002_lock_order(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------
-// A003 — determinism (no wall clocks, no entropy)
-// ---------------------------------------------------------------------
-
-fn a003_determinism(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    for i in 0..t.len() {
-        if sf.in_test(t[i].line) {
-            continue;
-        }
-        if t[i].kind == TokenKind::Ident
-            && matches!(t[i].text.as_str(), "Instant" | "SystemTime")
-            && i + 2 < t.len()
-            && t[i + 1].is_punct("::")
-            && t[i + 2].is_ident("now")
-        {
-            out.push(diag(
-                sf,
-                &t[i],
-                "A003",
-                format!("wall-clock read `{}::now` in deterministic code", t[i].text),
-            ));
-        }
-        if t[i].kind == TokenKind::Ident
-            && matches!(t[i].text.as_str(), "from_entropy" | "thread_rng")
-        {
-            out.push(diag(
-                sf,
-                &t[i],
-                "A003",
-                format!("entropy-seeded RNG `{}` in deterministic code", t[i].text),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A004 — float equality
-// ---------------------------------------------------------------------
-
-/// Is the operand beginning (for RHS) or ending (for LHS) at the tokens
-/// around index `i` evidently a float? Checks literals (with optional
-/// leading `-`) and `f32::`/`f64::` associated constants.
-fn float_rhs(t: &[Token], i: usize) -> bool {
-    let Some(first) = t.get(i) else { return false };
-    if first.is_float_literal() {
-        return true;
-    }
-    if first.is_punct("-") && t.get(i + 1).is_some_and(|x| x.is_float_literal()) {
-        return true;
-    }
-    (first.is_ident("f32") || first.is_ident("f64"))
-        && t.get(i + 1).is_some_and(|x| x.is_punct("::"))
-}
-
-fn float_lhs(t: &[Token], i: usize) -> bool {
-    let Some(last) = (i > 0).then(|| &t[i - 1]) else {
-        return false;
-    };
-    if last.is_float_literal() {
-        return true;
-    }
-    // `f32::NAN == x` — constant path ends with the const name.
-    i >= 3
-        && last.kind == TokenKind::Ident
-        && t[i - 2].is_punct("::")
-        && (t[i - 3].is_ident("f32") || t[i - 3].is_ident("f64"))
-}
-
-fn a004_float_eq(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    for i in 0..t.len() {
-        if !(t[i].is_punct("==") || t[i].is_punct("!=")) || sf.in_test(t[i].line) {
-            continue;
-        }
-        if float_lhs(t, i) || float_rhs(t, i + 1) {
-            out.push(diag(
-                sf,
-                &t[i],
-                "A004",
-                format!("float `{}` comparison", t[i].text),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A005 — silent discards
-// ---------------------------------------------------------------------
-
-fn a005_discard(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    for i in 0..t.len() {
-        if !t[i].is_ident("let") || sf.in_test(t[i].line) {
-            continue;
-        }
-        if i + 3 < t.len()
-            && t[i + 1].is_ident("_")
-            && t[i + 2].is_punct("=")
-            && !t[i + 3].is_punct("&")
-        // `let _ = &x;` is a borrow, not a discard
-        {
-            out.push(diag(
-                sf,
-                &t[i],
-                "A005",
-                "`let _ =` silently discards a value".to_string(),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A006 — SAFETY comments on unsafe code
-// ---------------------------------------------------------------------
-
-fn a006_safety_comments(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    let sites = crate::ast::unsafe_sites(t);
-    if sites.is_empty() {
-        return;
-    }
-    // Lines whose first token is `#` — attribute lines bridge the upward
-    // walk from an `unsafe fn` to the comment above its attributes.
-    let mut attr_lines = Vec::new();
-    let mut prev_line = 0u32;
-    for tok in t.iter() {
-        if tok.line != prev_line {
-            if tok.is_punct("#") {
-                attr_lines.push(tok.line);
-            }
-            prev_line = tok.line;
-        }
-    }
-    let comment_on = |line: u32| sf.comment_lines.iter().find(|(l, _)| *l == line).copied();
-    for site in sites {
-        let tok = &t[site.index];
-        if sf.in_test(tok.line) {
-            continue;
-        }
-        let mut justified = comment_on(tok.line).is_some_and(|(_, s)| s);
-        let mut cur = tok.line.saturating_sub(1);
-        while !justified && cur > 0 {
-            match comment_on(cur) {
-                Some((_, true)) => justified = true,
-                Some((_, false)) => cur -= 1,
-                None if attr_lines.contains(&cur) => cur -= 1,
-                None => break,
-            }
-        }
-        if !justified {
-            let what = match site.kind {
-                crate::ast::UnsafeKind::Block => "unsafe block",
-                crate::ast::UnsafeKind::Fn => "unsafe fn",
-                crate::ast::UnsafeKind::Impl => "unsafe impl",
-            };
-            out.push(diag(
-                sf,
-                tok,
-                "A006",
-                format!("{what} without a `// SAFETY:` comment"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A007 — Hot-storage buffer access stays inside guard scopes
-// ---------------------------------------------------------------------
-
-fn a007_hot_access(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    let impls = crate::ast::impls(t);
-    for i in 0..t.len() {
-        if !(t[i].is_punct(".")
-            && i + 3 < t.len()
-            && t[i + 1].is_ident("get")
-            && t[i + 2].is_punct("(")
-            && t[i + 3].is_punct(")"))
-            || sf.in_test(t[i].line)
-        {
-            continue;
-        }
-        let recv = receiver_before(t, i);
-        if !(recv == "buf" || recv.ends_with(".buf")) {
-            continue;
-        }
-        // The cell's own impl and its guards are where the aliasing
-        // tally lives; everyone else must go through them.
-        let sanctioned = impls.iter().any(|im| {
-            im.contains(i) && (im.type_name == "HotCell" || im.type_name.contains("Guard"))
-        });
-        if !sanctioned {
-            out.push(diag(
-                sf,
-                &t[i + 1],
-                "A007",
-                format!("raw Hot-storage access `{recv}.get()` outside an aliasing-guard scope"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // A009 — post-unwind state re-assertion
 // ---------------------------------------------------------------------
 
@@ -880,50 +550,6 @@ fn a009_unwind_mut(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------
-// A011 — typed error values constructed and dropped
-// ---------------------------------------------------------------------
-
-fn a011_dropped_error(sf: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for f in &sf.fns {
-        if sf.in_test(f.line) {
-            continue;
-        }
-        let block = crate::ast::parse_block(&sf.tokens, f.body.0);
-        a011_visit(sf, &block, out);
-    }
-}
-
-fn a011_visit(sf: &SourceFile, block: &crate::ast::Block, out: &mut Vec<Diagnostic>) {
-    let t = &sf.tokens;
-    for s in &block.stmts {
-        for b in &s.blocks {
-            a011_visit(sf, b, out);
-        }
-        let first = &t[s.first];
-        if first.kind != TokenKind::Ident || !t[s.last].is_punct(";") {
-            continue;
-        }
-        let is_ctor = (first.text == "Err" && t.get(s.first + 1).is_some_and(|x| x.is_punct("(")))
-            || (first.text.ends_with("Error")
-                && t.get(s.first + 1).is_some_and(|x| x.is_punct("::")));
-        if !is_ctor {
-            continue;
-        }
-        // Used values flow somewhere: assignment, `?`, or a return.
-        let used = (s.first..=s.last)
-            .any(|k| t[k].is_punct("=") || t[k].is_punct("?") || t[k].is_ident("return"));
-        if !used {
-            out.push(diag(
-                sf,
-                first,
-                "A011",
-                format!("error value `{}…` constructed and dropped", first.text),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // A012 — frozen inference paths stay gradient-free
 // ---------------------------------------------------------------------
 
@@ -974,18 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn a001_flags_panics_and_unwraps() {
-        let d = check("fn f(x: Option<u8>) -> u8 { x.unwrap(); x.expect(\"y\"); panic!(\"z\") }");
-        assert_eq!(rules_of(&d), vec!["A001", "A001", "A001"]);
-    }
-
-    #[test]
-    fn a001_skips_tests_and_lookalikes() {
-        assert!(check("#[test]\nfn t() { x.unwrap(); }").is_empty());
-        assert!(check("fn f(l: &L) { l.read().unwrap_or_else(e); }").is_empty());
-    }
-
-    #[test]
     fn a002_flags_unordered_pairs() {
         let d = check("fn f(a: &T, b: &T) { let ga = a.data(); let gb = b.data(); }");
         assert_eq!(rules_of(&d), vec!["A002"]);
@@ -1014,66 +628,23 @@ mod tests {
     }
 
     #[test]
-    fn a003_flags_clocks_and_entropy() {
-        let d = check("fn f() { let t = Instant::now(); let r = StdRng::from_entropy(); }");
-        assert_eq!(rules_of(&d), vec!["A003", "A003"]);
-    }
-
-    #[test]
-    fn a004_flags_float_eq() {
-        let d = check("fn f(x: f32) -> bool { x == 0.5 || 1.0 != x || x == f32::NAN }");
-        assert_eq!(rules_of(&d), vec!["A004", "A004", "A004"]);
-        assert!(check("fn f(x: u8) -> bool { x == 3 }").is_empty());
-    }
-
-    #[test]
-    fn a005_flags_discards() {
-        let d = check("fn f() { let _ = fallible(); }");
-        assert_eq!(rules_of(&d), vec!["A005"]);
-        assert!(check("fn f(x: &str) { let _ = &x; }").is_empty());
-    }
-
-    #[test]
     fn suppression_silences_and_tracks_use() {
-        let d = check("fn f() { let _ = g(); // aimts-lint: allow(A005, best-effort cleanup)\n}");
+        let d =
+            check("fn f(x: &T) { x.backward(); // aimts-lint: allow(A012, parity reference)\n}");
         assert!(d.is_empty(), "{d:?}");
         // Unused pragma is itself a diagnostic.
-        let d = check("fn f() { // aimts-lint: allow(A005, nothing here)\nlet x = 1; }");
+        let d = check("fn f() { // aimts-lint: allow(A012, nothing here)\nlet x = 1; }");
         assert_eq!(rules_of(&d), vec!["A000"]);
     }
 
     #[test]
     fn scope_gates_rules() {
-        let sf = SourceFile::parse("t.rs", "fn f(x: Option<u8>) { x.unwrap(); }");
+        let sf = SourceFile::parse("t.rs", "fn f(x: &T) { x.backward(); }");
         let s = Scope {
-            a001: false,
+            a012: false,
             ..Scope::all()
         };
         assert!(check_file(&sf, s).is_empty());
-    }
-
-    #[test]
-    fn a006_unsafe_requires_safety_comment() {
-        let d = check("fn f(p: *const u8) -> u8 { unsafe { *p } }");
-        assert_eq!(rules_of(&d), vec!["A006"]);
-        let ok = "fn f(p: *const u8) -> u8 {\n// SAFETY: p is valid for reads by contract\nunsafe { *p } }";
-        assert!(check(ok).is_empty());
-        // Attribute lines bridge the upward walk for unsafe fns.
-        let attr = "// SAFETY: caller verified the avx2 feature\n#[target_feature(enable = \"avx2\")]\nunsafe fn k() {}";
-        assert!(check(attr).is_empty());
-        // A blank line between comment and unsafe breaks the association.
-        let stale = "// SAFETY: stale, detached\n\nfn f() { unsafe { g() } }";
-        assert_eq!(rules_of(&check(stale)), vec!["A006"]);
-    }
-
-    #[test]
-    fn a007_buf_get_outside_guard_impls() {
-        let bad = "impl Sneaky { fn peek(&self) -> f32 {\n// SAFETY: bypasses the tally\nunsafe { (*self.cell.buf.get())[0] } } }";
-        assert_eq!(rules_of(&check(bad)), vec!["A007"]);
-        let cell = "impl HotCell { fn peek(&self) -> f32 {\n// SAFETY: tally checked by caller\nunsafe { (*self.buf.get())[0] } } }";
-        assert!(check(cell).is_empty());
-        let guard = "impl Deref for HotReadGuard<'_> { fn deref(&self) -> &V {\n// SAFETY: read tally held\nunsafe { &*self.cell.buf.get() } } }";
-        assert!(check(guard).is_empty());
     }
 
     #[test]
@@ -1086,14 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn a011_flags_dropped_error_ctors() {
-        let d = check("fn f(flag: bool) { if flag { ServeError::Closed; } g(); }");
-        assert_eq!(rules_of(&d), vec!["A011"]);
-        assert!(check("fn f() -> Result<(), E> { Err(TrainError::Bad)?; Ok(()) }").is_empty());
-        assert!(check("fn f() { let e = ServeError::Closed; log(e); }").is_empty());
-    }
-
-    #[test]
     fn a012_flags_grad_apis() {
         let d = check("fn f(x: &T, v: V) { let s = Storage::Shared(v); x.backward(); }");
         assert_eq!(rules_of(&d), vec!["A012", "A012"]);
@@ -1102,17 +665,20 @@ mod tests {
 
     #[test]
     fn scope_paths() {
-        assert!(Scope::for_rel_path("crates/tensor/src/tensor.rs").is_some_and(|s| s.a001));
-        assert!(Scope::for_rel_path("crates/eval/src/stats.rs").is_some_and(|s| !s.a001 && s.a004));
-        assert!(Scope::for_rel_path("crates/bench/src/harness.rs").is_some_and(|s| !s.a003));
+        assert!(
+            Scope::for_rel_path("crates/tensor/src/tensor.rs").is_some_and(|s| s.a002
+                && s.a008
+                && s.a009
+                && !s.a010
+                && !s.a012)
+        );
+        assert!(Scope::for_rel_path("crates/bench/src/harness.rs").is_some_and(|s| s.a002));
         assert!(Scope::for_rel_path("crates/tensor/tests/lock_order.rs").is_none());
         assert!(Scope::for_rel_path("vendor/rand/src/lib.rs").is_none());
         assert!(Scope::for_rel_path("src/lib.rs").is_some());
         assert!(Scope::for_rel_path("crates/serve/src/batcher.rs")
-            .is_some_and(|s| s.a010 && s.a012 && !s.a007));
-        assert!(Scope::for_rel_path("crates/tensor/src/hotcell.rs")
-            .is_some_and(|s| s.a006 && s.a007 && !s.a010));
-        assert!(Scope::for_rel_path("crates/core/src/infer.rs").is_some_and(|s| s.a012));
+            .is_some_and(|s| s.a008 && s.a010 && s.a012));
+        assert!(Scope::for_rel_path("crates/core/src/infer.rs").is_some_and(|s| s.a012 && !s.a010));
         assert!(Scope::for_rel_path("crates/core/src/train.rs").is_some_and(|s| !s.a012));
     }
 }

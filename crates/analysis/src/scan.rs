@@ -4,7 +4,7 @@
 //! Suppression pragma grammar (one per comment):
 //!
 //! ```text
-//! // aimts-lint: allow(A001, reason the invariant holds here)
+//! // aimts-lint: allow(A002, reason the invariant holds here)
 //! ```
 //!
 //! A trailing pragma suppresses diagnostics on its own line; a pragma on
@@ -47,10 +47,6 @@ pub struct SourceFile {
     /// Line ranges (inclusive) of `#[cfg(test)]` / `#[test]` items.
     test_spans: Vec<(u32, u32)>,
     pub fns: Vec<FnExtent>,
-    /// Every source line covered by a comment, with whether the comment
-    /// mentions a safety invariant (`SAFETY` / `# Safety`). Multi-line
-    /// block comments contribute one entry per covered line.
-    pub comment_lines: Vec<(u32, bool)>,
 }
 
 impl SourceFile {
@@ -87,14 +83,6 @@ impl SourceFile {
                 Err(msg) => pragma_errors.push((c.line, msg)),
             }
         }
-        let mut comment_lines = Vec::new();
-        for c in &lexed.comments {
-            let has_safety = c.text.contains("SAFETY") || c.text.contains("# Safety");
-            let span = c.text.matches('\n').count() as u32;
-            for l in c.line..=c.line + span {
-                comment_lines.push((l, has_safety));
-            }
-        }
         let test_spans = find_test_spans(&lexed.tokens);
         let fns = find_fns(&lexed.tokens);
         SourceFile {
@@ -104,7 +92,6 @@ impl SourceFile {
             pragma_errors,
             test_spans,
             fns,
-            comment_lines,
         }
     }
 
@@ -304,22 +291,22 @@ mod tests {
     #[test]
     fn pragma_trailing_and_own_line() {
         let src = "fn f() {\n\
-                   let x = 1; // aimts-lint: allow(A005, checked above)\n\
-                   // aimts-lint: allow(A001, invariant: y is finite)\n\
+                   let x = 1; // aimts-lint: allow(A008, checked above)\n\
+                   // aimts-lint: allow(A002, invariant: y is finite)\n\
                    let y = 2;\n\
                    }";
         let sf = SourceFile::parse("x.rs", src);
         assert_eq!(sf.suppressions.len(), 2);
-        assert_eq!(sf.suppressions[0].rule, "A005");
+        assert_eq!(sf.suppressions[0].rule, "A008");
         assert_eq!(sf.suppressions[0].target, 2);
-        assert_eq!(sf.suppressions[1].rule, "A001");
+        assert_eq!(sf.suppressions[1].rule, "A002");
         assert_eq!(sf.suppressions[1].target, 4);
         assert!(sf.pragma_errors.is_empty());
     }
 
     #[test]
     fn pragma_without_reason_is_an_error() {
-        let sf = SourceFile::parse("x.rs", "// aimts-lint: allow(A001)\nfn f() {}");
+        let sf = SourceFile::parse("x.rs", "// aimts-lint: allow(A002)\nfn f() {}");
         assert!(sf.suppressions.is_empty());
         assert_eq!(sf.pragma_errors.len(), 1);
         assert!(sf.pragma_errors[0].1.contains("reason"));
@@ -327,7 +314,7 @@ mod tests {
 
     #[test]
     fn doc_comments_are_not_pragmas() {
-        let src = "/// Write `// aimts-lint: allow(A001, why)` above the line.\n\
+        let src = "/// Write `// aimts-lint: allow(A002, why)` above the line.\n\
                    //! Same for `aimts-lint: allow(RULE)` examples.\n\
                    fn f() {}";
         let sf = SourceFile::parse("x.rs", src);
@@ -337,7 +324,7 @@ mod tests {
 
     #[test]
     fn prose_mention_without_colon_is_not_a_pragma() {
-        let src = "// This mirrors aimts-lint rule A001 (tests are exempt).\nfn f() {}";
+        let src = "// The debug checker mirrors aimts-lint rule A002 at run time.\nfn f() {}";
         let sf = SourceFile::parse("x.rs", src);
         assert!(sf.suppressions.is_empty());
         assert!(sf.pragma_errors.is_empty());

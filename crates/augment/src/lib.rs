@@ -23,6 +23,15 @@
 //! }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 mod interp;
 
 pub use interp::{linear_resample, smooth_curve};

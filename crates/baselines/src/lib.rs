@@ -20,6 +20,15 @@
 //! applicable: `pretrain` on a pool, then `fine_tune` on a target
 //! [`aimts_data::Dataset`] returning an [`aimts::FineTuned`].
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub mod contrastive;
 pub mod fcn;
 pub mod fft;

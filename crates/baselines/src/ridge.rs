@@ -57,7 +57,6 @@ impl RidgeClassifier {
         let mut g = vec![vec![0f64; d]; d];
         for row in &x {
             for (i, &ri) in row.iter().enumerate() {
-                // aimts-lint: allow(A004, exact-zero skip: sparsity fast path over one-hot feature rows)
                 if ri == 0.0 {
                     continue;
                 }
@@ -155,7 +154,6 @@ fn solve_multi(mut a: Vec<Vec<f64>>, mut b: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         assert!(diag.abs() > 1e-12, "singular system (increase lambda)");
         for r in col + 1..d {
             let f = a[r][col] / diag;
-            // aimts-lint: allow(A004, exact-zero skip: a zero multiplier eliminates nothing)
             if f == 0.0 {
                 continue;
             }

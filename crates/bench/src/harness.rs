@@ -85,6 +85,10 @@ impl Scale {
 
 /// Time a closure, returning its result and elapsed seconds.
 pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a timing harness measures real elapsed time; its readings never feed training state"
+    )]
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())

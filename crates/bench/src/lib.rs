@@ -9,6 +9,15 @@
 //! Scale is controlled by `AIMTS_SCALE` (`quick` default, `full` for a
 //! longer run).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub mod harness;
 pub mod memprof;
 pub mod runners;

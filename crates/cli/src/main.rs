@@ -10,6 +10,15 @@
 //!
 //! Argument parsing is deliberately dependency-free (`--key value` pairs).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 mod args;
 mod commands;
 

@@ -170,6 +170,7 @@ impl fmt::Display for HealthReport {
 }
 
 /// Typed failure of a training run.
+#[must_use]
 #[derive(Debug)]
 pub enum TrainError {
     /// Writing or restoring a checkpoint failed.

@@ -223,10 +223,13 @@ impl FineTuned {
     fn head_hidden(&self) -> usize {
         let mut named = Vec::new();
         self.head.named_parameters("head", &mut named);
+        #[expect(
+            clippy::expect_used,
+            reason = "Mlp::new always registers head.0.weight; absence is unreachable"
+        )]
         let (_, w) = named
             .iter()
             .find(|(n, _)| n == "head.0.weight")
-            // aimts-lint: allow(A001, Mlp::new always registers head.0.weight; absence is unreachable)
             .expect("Mlp head always has a first Linear layer");
         w.shape()[1]
     }

@@ -42,9 +42,27 @@
 //! assert!((0.0..=1.0).contains(&acc));
 //! ```
 
-// Library code must propagate errors, not unwrap: the health supervisor must survive worker faults
-// (mirrors aimts-lint rule A001; tests are exempt).
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Library code must propagate errors, not panic: the health supervisor must
+// survive worker faults. A panic that cannot happen carries an `#[expect]`
+// with the reason; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
 
 pub mod batch;
 pub mod checkpoint;

@@ -281,8 +281,11 @@ impl AimTs {
         parallel::with_worker_pool(
             workers,
             |slot, (seed, micro, batch, master): PoolTask| {
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate fault injection: the resilience suite requires a real worker panic"
+                )]
                 if fault.forces_panic(micro) {
-                    // aimts-lint: allow(A001, deliberate fault injection: the resilience suite requires a real worker panic)
                     panic!("injected worker panic on micro-batch {micro}");
                 }
                 let replica = &replicas[slot];
@@ -591,8 +594,11 @@ impl AimTs {
                 poisoned,
             };
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "survivors were filtered to all-finite buffers above"
+        )]
         let (mean, excluded) = parallel::all_reduce_mean_guarded(&grads)
-            // aimts-lint: allow(A001, survivors were filtered to all-finite buffers above)
             .expect("surviving gradient buffers are all-finite");
         debug_assert_eq!(excluded, 0, "survivors were pre-filtered");
         opt.zero_grad();
@@ -734,9 +740,12 @@ impl AimTs {
         let (mut proto_out, mut si_out) = (None, None);
 
         if ab.inter || ab.intra {
+            #[expect(
+                clippy::expect_used,
+                reason = "step_inputs and step_graph read the same immutable ablation flags"
+            )]
             let take = |t: &Option<Tensor>| -> Tensor {
                 t.clone()
-                    // aimts-lint: allow(A001, step_inputs and step_graph read the same immutable ablation flags)
                     .expect("step_inputs populates every tensor its ablation enables")
             };
             let (tau_w, tau_c) = (take(&inp.tau_w), take(&inp.tau_c));
@@ -779,9 +788,12 @@ impl AimTs {
 
         if ab.si_naive || ab.si_mixup {
             // --- series-image contrastive ------------------------------------
+            #[expect(
+                clippy::expect_used,
+                reason = "step_inputs and step_graph read the same immutable ablation flags"
+            )]
             let take = |t: &Option<Tensor>| -> Tensor {
                 t.clone()
-                    // aimts-lint: allow(A001, step_inputs and step_graph read the same immutable ablation flags)
                     .expect("step_inputs populates every tensor its ablation enables")
             };
             let u = self
@@ -810,7 +822,11 @@ impl AimTs {
             });
         }
 
-        let total = total.expect("at least one loss component must be enabled"); // aimts-lint: allow(A001, config validation rejects all-disabled loss components before training starts)
+        #[expect(
+            clippy::expect_used,
+            reason = "config validation rejects all-disabled loss components before training starts"
+        )]
+        let total = total.expect("at least one loss component must be enabled");
         StepOutputs {
             total,
             proto: proto_out,

@@ -24,9 +24,27 @@
 //! }
 //! ```
 
-// Library code must propagate errors, not unwrap: dataset loaders reject, never crash on, bad input
-// (mirrors aimts-lint rule A001; tests are exempt).
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Library code must propagate errors, not panic: dataset loaders reject,
+// never crash on, bad input. A panic that cannot happen carries an
+// `#[expect]` with the reason; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
 
 pub mod archives;
 pub mod fewshot;

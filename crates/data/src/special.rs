@@ -6,7 +6,10 @@
 use crate::generator::{DatasetSpec, PatternFamily};
 use crate::sample::Dataset;
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a private shorthand for the generators below; every argument is a `DatasetSpec` field they set differently"
+)]
 fn spec(
     name: &str,
     family: PatternFamily,

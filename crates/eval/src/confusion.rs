@@ -71,7 +71,6 @@ impl ConfusionMatrix {
             .iter()
             .zip(self.recall())
             .map(|(&p, r)| {
-                // aimts-lint: allow(A004, exact-zero guard against 0/0 in the F1 harmonic mean)
                 if p + r == 0.0 {
                     0.0
                 } else {

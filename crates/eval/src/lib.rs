@@ -6,6 +6,15 @@
 //! diagrams, an ASCII CD-diagram renderer, result-table formatting, and
 //! the Beta/Gamma samplers needed by the geodesic mixup (`λ ~ Beta(γ, γ)`).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub mod cd;
 pub mod confusion;
 pub mod stats;

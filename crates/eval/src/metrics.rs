@@ -24,6 +24,10 @@ pub fn rank_row(values: &[f64]) -> Vec<f64> {
     let mut i = 0;
     while i < k {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "a tie is two exactly equal scores; a tolerance would average the ranks of distinct results"
+        )]
         while j + 1 < k && values[idx[j + 1]] == values[idx[i]] {
             j += 1;
         }

@@ -66,7 +66,6 @@ pub fn sample_gamma(shape: f64, rng: &mut StdRng) -> f64 {
 pub fn sample_beta(a: f64, b: f64, rng: &mut StdRng) -> f64 {
     let ga = sample_gamma(a, rng);
     let gb = sample_gamma(b, rng);
-    // aimts-lint: allow(A004, exact-zero guard against 0/0; any nonzero sum divides fine)
     if ga + gb == 0.0 {
         0.5
     } else {

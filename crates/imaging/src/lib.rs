@@ -25,6 +25,15 @@
 //! assert_eq!(img.data.len(), 3 * 64 * 64);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 mod raster;
 
 pub use raster::Canvas;

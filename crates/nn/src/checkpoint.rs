@@ -82,6 +82,7 @@ pub mod sections {
 /// Loads are total: every variant is returned, never panicked. Corruption
 /// variants name the section (or byte region) that failed validation so
 /// fault reports are actionable.
+#[must_use]
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying filesystem failure.
@@ -241,7 +242,11 @@ fn atomic_write_inner(path: &Path, bytes: &[u8], fail_after: Option<usize>) -> i
         Ok(())
     })();
     if result.is_err() {
-        let _ = fs::remove_file(&tmp); // aimts-lint: allow(A005, best-effort cleanup: the write already failed and its error is returned)
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup: the write already failed and its error is returned"
+        )]
+        let _ = fs::remove_file(&tmp);
     }
     result
 }
@@ -311,7 +316,7 @@ pub struct SectionReader<'a> {
 /// First 4 bytes of a slice as an array. Callers pass slices whose length
 /// was just checked (or produced by `chunks_exact(4)`), so indexing cannot
 /// fail; this avoids `try_into().unwrap()` in load paths that must never
-/// panic (lint A001).
+/// panic (`clippy::unwrap_used`).
 #[inline]
 fn le4(b: &[u8]) -> [u8; 4] {
     [b[0], b[1], b[2], b[3]]

@@ -326,9 +326,13 @@ impl LayerNorm {
 }
 
 impl Module for LayerNorm {
+    #[expect(
+        clippy::expect_used,
+        reason = "forward() inputs are batched activations; 0-d cannot occur"
+    )]
     fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(
-            *x.shape().last().expect("LayerNorm on 0-d input"), // aimts-lint: allow(A001, forward() inputs are batched activations; 0-d cannot occur)
+            *x.shape().last().expect("LayerNorm on 0-d input"),
             self.dim,
             "LayerNorm dim mismatch"
         );
@@ -393,7 +397,6 @@ impl Dropout {
 
 impl Module for Dropout {
     fn forward(&self, x: &Tensor) -> Tensor {
-        // aimts-lint: allow(A004, p == 0.0 is the documented “dropout disabled” sentinel set verbatim by the constructor)
         if !self.training.load(Ordering::Relaxed) || self.p == 0.0 {
             return x.clone();
         }

@@ -21,9 +21,27 @@
 //! opt.zero_grad();
 //! ```
 
-// Library code must propagate errors, not unwrap: checkpoint load paths promise "loads never panic"
-// (mirrors aimts-lint rule A001; tests are exempt).
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Library code must propagate errors, not panic: checkpoint load paths
+// promise "loads never panic". A panic that cannot happen carries an
+// `#[expect]` with the reason; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
 
 mod checkpoint;
 mod init;

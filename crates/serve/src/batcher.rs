@@ -31,10 +31,10 @@
 //! order the client awaits them — the batcher cannot drop, duplicate, or
 //! cross-wire a response (`tests/batch_props.rs`), even across drain.
 
-// Requests stay boxed end to end (queue → batch → model group →
-// bisection split): the box is allocated once at admission and every
-// later stage moves a pointer, not the ~100-byte request.
-#![allow(clippy::vec_box)]
+#![allow(
+    clippy::vec_box,
+    reason = "requests stay boxed end to end (queue → batch → model group → bisection split): the box is allocated once at admission and every later stage moves a pointer, not the ~100-byte request"
+)]
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -255,7 +255,10 @@ impl AdmissionQueue {
     /// pure try-admit.
     pub fn push_within(&self, req: Box<Request>, timeout: Duration) -> Result<(), PushReject> {
         let mut g = lock(&self.inner);
-        // aimts-lint: allow(A003, admission timeout is wall-clock by definition; serving is not deterministic-replay code)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission timeout is wall-clock by definition; serving is not deterministic-replay code"
+        )]
         let deadline = Instant::now() + timeout;
         loop {
             if g.closed {
@@ -267,7 +270,10 @@ impl AdmissionQueue {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            // aimts-lint: allow(A003, the admission timeout is a real-time SLA, not replayed state; wall clock is the spec)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the admission timeout is a real-time SLA, not replayed state; wall clock is the spec"
+            )]
             let now = Instant::now();
             if now >= deadline {
                 return Err(PushReject::Full(g.q.len(), req));
@@ -305,7 +311,10 @@ impl AdmissionQueue {
             if g.closed {
                 return Pop::Closed;
             }
-            // aimts-lint: allow(A003, the flush deadline is a real-time SLA, not replayed state; wall clock is the spec)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the flush deadline is a real-time SLA, not replayed state; wall clock is the spec"
+            )]
             let now = Instant::now();
             if now >= until {
                 return Pop::TimedOut;
@@ -352,12 +361,18 @@ pub(crate) fn run_assembler(
         let Some(first_req) = queue.pop_wait() else {
             return; // closed and fully drained
         };
-        // aimts-lint: allow(A003, batching deadlines are wall-clock by definition; serving is not deterministic-replay code)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "batching deadlines are wall-clock by definition; serving is not deterministic-replay code"
+        )]
         let flush_deadline = Instant::now() + policy.max_delay;
         let mut batch = Vec::with_capacity(policy.max_batch);
         admit_to_batch(first_req, &mut batch, &metrics);
         while batch.len() < policy.max_batch {
-            // aimts-lint: allow(A003, max_delay bounds real queueing latency; wall clock is the spec, nothing is replayed)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "max_delay bounds real queueing latency; wall clock is the spec, nothing is replayed"
+            )]
             let now = Instant::now();
             if now >= flush_deadline {
                 break;
@@ -405,7 +420,10 @@ pub(crate) fn run_assembler(
 /// Assembly-time deadline check: expired requests are answered
 /// immediately and never reach a batch.
 fn admit_to_batch(req: Box<Request>, batch: &mut Vec<Box<Request>>, metrics: &Metrics) {
-    // aimts-lint: allow(A003, shedding expired work needs the real clock; inference results never feed training replay)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shedding expired work needs the real clock; inference results never feed training replay"
+    )]
     let now = Instant::now();
     if req.deadline.is_some_and(|d| now >= d) {
         let total_us = now.duration_since(req.enqueued).as_micros() as u64;
@@ -464,7 +482,10 @@ fn execute(b: Assembled, metrics: &Metrics, breaker: &CircuitBreaker, chaos: &Ch
     }
     // Pre-forward deadline check: the batch may have waited in the
     // in-flight channel; expired work is shed before the forward pass.
-    // aimts-lint: allow(A003, shedding expired work needs the real clock; inference results never feed training replay)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shedding expired work needs the real clock; inference results never feed training replay"
+    )]
     let now = Instant::now();
     let mut live = Vec::with_capacity(b.requests.len());
     for req in b.requests {
@@ -481,11 +502,17 @@ fn execute(b: Assembled, metrics: &Metrics, breaker: &CircuitBreaker, chaos: &Ch
         return;
     }
 
-    // aimts-lint: allow(A003, latency metrics measure real elapsed time by definition and affect no model state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "latency metrics measure real elapsed time by definition and affect no model state"
+    )]
     let dequeued = Instant::now();
     let refs: Vec<&MultiSeries> = live.iter().map(|r| &r.series).collect();
     let outcome = classify_isolated(&b.version.model, &refs, chaos.panics(b.flush));
-    // aimts-lint: allow(A003, latency metrics measure real elapsed time by definition and affect no model state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "latency metrics measure real elapsed time by definition and affect no model state"
+    )]
     let done = Instant::now();
     if outcome.panicked {
         breaker.record_failure(done);
@@ -591,6 +618,10 @@ fn guarded_classify(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests stamp requests with the real clock the queue and batcher compare against"
+)]
 mod tests {
     use super::*;
 

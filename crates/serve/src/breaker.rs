@@ -139,6 +139,10 @@ impl CircuitBreaker {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the breaker takes `Instant`s; tests offset them from one real base instant"
+)]
 mod tests {
     use super::*;
 

@@ -29,8 +29,11 @@ pub struct Deadline(Instant);
 
 impl Deadline {
     /// A deadline `ms` milliseconds from now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadlines are wall-clock by definition; serving is not deterministic-replay code"
+    )]
     pub fn in_ms(ms: u64) -> Deadline {
-        // aimts-lint: allow(A003, deadlines are wall-clock by definition; serving is not deterministic-replay code)
         Deadline(Instant::now() + Duration::from_millis(ms))
     }
 
@@ -121,6 +124,10 @@ impl SubmitOptions {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check deadlines against the real clock they are defined on"
+)]
 mod tests {
     use super::*;
 

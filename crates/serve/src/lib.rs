@@ -36,6 +36,14 @@
 //! request arrival with model execution.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
 
 use std::fmt;
 
@@ -65,6 +73,7 @@ pub use server::Server;
 /// [`CheckpointError`] taxonomy so a rejected hot swap names the exact
 /// corruption (bad magic, CRC mismatch, truncation, shape mismatch, ...);
 /// overload rejections carry enough context for a client to back off.
+#[must_use]
 #[derive(Debug)]
 pub enum ServeError {
     /// Loading or validating a serving bundle failed; the previously

@@ -96,7 +96,10 @@ pub fn run_loadgen(server: &Server, pool: &[MultiSeries], cfg: &LoadgenConfig) -
     let errors = AtomicU64::new(0);
     let lost = AtomicU64::new(0);
     let generations = AtomicU64::new(0);
-    // aimts-lint: allow(A003, the load generator measures real latency distributions; determinism is not a goal here)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the load generator measures real latency distributions; determinism is not a goal here"
+    )]
     let started = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..cfg.clients {

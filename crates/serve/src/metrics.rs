@@ -64,7 +64,10 @@ impl Default for Metrics {
             queue_us: Mutex::new(Vec::new()),
             deadline_us: Mutex::new(Vec::new()),
             failure_us: Mutex::new(Vec::new()),
-            // aimts-lint: allow(A003, uptime/throughput metrics measure real elapsed time and affect no model state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "uptime/throughput metrics measure real elapsed time and affect no model state"
+            )]
             started: Instant::now(),
         }
     }

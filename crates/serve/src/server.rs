@@ -164,7 +164,10 @@ impl Server {
         if !self.open.load(Ordering::Acquire) {
             return Err(ServeError::Closed);
         }
-        // aimts-lint: allow(A003, admission timestamps are wall-clock by definition)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission timestamps are wall-clock by definition"
+        )]
         let now = Instant::now();
         if let Err(retry_after_ms) = self.breaker.admit(now) {
             self.metrics.record_shed();

@@ -45,9 +45,12 @@ pub fn check_gradients(f: &dyn Fn(&[Tensor]) -> Tensor, inputs: &[Tensor], eps: 
     assert_eq!(loss.numel(), 1, "check_gradients requires scalar output");
     loss.backward();
     for (which, v) in vars.iter().enumerate() {
+        #[expect(
+            clippy::panic,
+            reason = "grad-check is a test harness; a missing gradient must fail loudly"
+        )]
         let auto = v
             .grad()
-            // aimts-lint: allow(A001, grad-check is a test harness; a missing gradient must fail loudly)
             .unwrap_or_else(|| panic!("input {which} received no gradient"));
         let numeric = numeric_gradient(f, inputs, which, eps);
         for (i, (a, n)) in auto.iter().zip(&numeric).enumerate() {

@@ -99,9 +99,12 @@ impl HotCell {
         {
             let (packed, thread, op) = stamp();
             let prev = self.tally.fetch_add(1, Ordering::Acquire);
+            #[expect(
+                clippy::panic,
+                reason = "the debug race validator reports by panicking — the access path has no error channel and the violation is a caller bug"
+            )]
             if prev < 0 {
                 let (wt, wo) = unpack(self.last_write.load(Ordering::Acquire));
-                // aimts-lint: allow(A001, the debug race validator reports by panicking — the access path has no error channel and the violation is a caller bug)
                 panic!(
                     "hot-buffer aliasing violation: read (thread {thread}, op {op}) \
                      while a write guard is live (thread {wt}, op {wo}) — an op or \
@@ -120,6 +123,10 @@ impl HotCell {
         #[cfg(debug_assertions)]
         {
             let (packed, thread, op) = stamp();
+            #[expect(
+                clippy::panic,
+                reason = "the debug race validator reports by panicking — the access path has no error channel and the violation is a caller bug"
+            )]
             if let Err(live) =
                 self.tally
                     .compare_exchange(0, -1, Ordering::Acquire, Ordering::Acquire)
@@ -130,7 +137,6 @@ impl HotCell {
                     ("read", self.last_read.load(Ordering::Acquire))
                 };
                 let (ct, co) = unpack(site);
-                // aimts-lint: allow(A001, the debug race validator reports by panicking — the access path has no error channel and the violation is a caller bug)
                 panic!(
                     "hot-buffer aliasing violation: write (thread {thread}, op {op}) \
                      while a {kind} guard is live (thread {ct}, op {co}) — hot tensors \

@@ -29,9 +29,27 @@
 //! assert_eq!(a.grad().unwrap(), vec![4.0, 5.0, 6.0]);
 //! ```
 
-// Library code must propagate errors, not unwrap: lock-order and autograd paths must stay panic-free
-// (mirrors aimts-lint rule A001; tests are exempt).
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+// Library code must propagate errors, not panic: lock-order and autograd
+// paths must stay panic-free. A panic that cannot happen carries an
+// `#[expect]` with the reason; tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
 
 mod autograd;
 mod grad_check;

@@ -74,7 +74,10 @@ mod imp {
         fn drop(&mut self) {
             // try_with: tokens may drop during thread teardown after the
             // thread-local has been destroyed.
-            // aimts-lint: allow(A005, nothing to unwind if the thread-local is already destroyed)
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "nothing to unwind if the thread-local is already destroyed"
+            )]
             let _ = HELD.try_with(|h| {
                 let mut h = h.borrow_mut();
                 if let Some(k) = h.iter().rposition(|&x| x == self.id) {

@@ -37,8 +37,11 @@ fn reduced_grad(g: impl Iterator<Item = f32>, os: &[usize], to: &[usize]) -> Vec
 
 /// Forward kernel for a broadcasting binary op.
 fn zip_broadcast(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> (Vec<f32>, Vec<usize>) {
+    #[expect(
+        clippy::panic,
+        reason = "shape mismatch is a caller programming error, caught in op tests"
+    )]
     let out_shape = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
-        // aimts-lint: allow(A001, shape mismatch is a caller programming error, caught in op tests)
         panic!(
             "incompatible shapes for binary op: {:?} vs {:?}",
             a.shape(),

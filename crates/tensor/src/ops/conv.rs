@@ -195,7 +195,10 @@ fn col2im1d(
 
 /// Unfold one batch element `x` (`[C_in, H, W]`) into `col`
 /// (`[C_in·KH·KW, H_out·W_out]`). `col` must be zeroed on entry.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "called once per batch element from loops that already hold these dimensions as locals"
+)]
 fn im2col2d(
     x: &[f32],
     col: &mut [f32],
@@ -250,7 +253,10 @@ fn im2col2d(
 }
 
 /// Adjoint of [`im2col2d`]: scatter-add `gcol` back into `gx` (`[C_in, H, W]`).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "called once per batch element from loops that already hold these dimensions as locals"
+)]
 fn col2im2d(
     gcol: &[f32],
     gx: &mut [f32],
@@ -391,7 +397,10 @@ fn conv1d_forward_im2col(
 /// Backward kernels: `gx` one batch element at a time, then `gw`/`gb`
 /// accumulated over the batch in order. A `None` gradient (an untracked
 /// parent) is skipped.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the three gradient outputs are separate optional slices so an untracked parent costs nothing"
+)]
 fn conv1d_backward_direct(
     x: &[f32],
     w: &[f32],
@@ -412,7 +421,6 @@ fn conv1d_backward_direct(
                 let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
                 let gxr = &mut gxb[ci * l..(ci + 1) * l];
                 for (o, &g) in gor.iter().enumerate() {
-                    // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
                     if g == 0.0 {
                         continue;
                     }
@@ -442,7 +450,6 @@ fn conv1d_backward_direct(
                 let xr = &xb[ci * l..(ci + 1) * l];
                 let gwr = &mut gw[(co * cin + ci) * k..(co * cin + ci + 1) * k];
                 for (o, &g) in gor.iter().enumerate() {
-                    // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
                     if g == 0.0 {
                         continue;
                     }
@@ -459,7 +466,10 @@ fn conv1d_backward_direct(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the three gradient outputs are separate optional slices so an untracked parent costs nothing"
+)]
 fn conv1d_backward_im2col(
     x: &[f32],
     w: &[f32],
@@ -608,7 +618,10 @@ fn conv2d_forward_im2col(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the three gradient outputs are separate optional slices so an untracked parent costs nothing"
+)]
 fn conv2d_backward_direct(
     x: &[f32],
     w: &[f32],
@@ -632,7 +645,6 @@ fn conv2d_backward_direct(
                 for oy in 0..ho {
                     for ox in 0..wo {
                         let g = gop[oy * wo + ox];
-                        // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
                         if g == 0.0 {
                             continue;
                         }
@@ -672,7 +684,6 @@ fn conv2d_backward_direct(
                 for oy in 0..ho {
                     for ox in 0..wo {
                         let g = gop[oy * wo + ox];
-                        // aimts-lint: allow(A004, exact-zero skip: zero gradient contributes nothing)
                         if g == 0.0 {
                             continue;
                         }
@@ -697,7 +708,10 @@ fn conv2d_backward_direct(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the three gradient outputs are separate optional slices so an untracked parent costs nothing"
+)]
 fn conv2d_backward_im2col(
     x: &[f32],
     w: &[f32],

@@ -8,7 +8,11 @@ impl Tensor {
     /// Zero-pad the last dimension by `(left, right)` elements.
     pub fn pad_last(&self, left: usize, right: usize) -> Tensor {
         let s = self.shape();
-        let last = *s.last().expect("pad on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors are rejected at construction by every caller path)
+        #[expect(
+            clippy::expect_used,
+            reason = "0-d tensors are rejected at construction by every caller path"
+        )]
+        let last = *s.last().expect("pad on 0-d tensor");
         let rows = self.numel() / last;
         let new_last = last + left + right;
         let d = self.data();
@@ -41,7 +45,11 @@ impl Tensor {
     /// Reverse the last dimension (time reversal).
     pub fn flip_last(&self) -> Tensor {
         let s = self.shape().to_vec();
-        let last = *s.last().expect("flip on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors are rejected at construction by every caller path)
+        #[expect(
+            clippy::expect_used,
+            reason = "0-d tensors are rejected at construction by every caller path"
+        )]
+        let last = *s.last().expect("flip on 0-d tensor");
         let rows = self.numel() / last;
         let d = self.data();
         let mut out = vec![0f32; d.len()];
@@ -70,7 +78,11 @@ impl Tensor {
     /// Cumulative sum along the last dimension.
     pub fn cumsum_last(&self) -> Tensor {
         let s = self.shape().to_vec();
-        let last = *s.last().expect("cumsum on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors are rejected at construction by every caller path)
+        #[expect(
+            clippy::expect_used,
+            reason = "0-d tensors are rejected at construction by every caller path"
+        )]
+        let last = *s.last().expect("cumsum on 0-d tensor");
         let rows = self.numel() / last;
         let d = self.data();
         let mut out = vec![0f32; d.len()];

@@ -38,7 +38,6 @@ fn mm_ikj(
         let crow = &mut c[i * n + cols.start..i * n + cols.end];
         for p in 0..k {
             let av = a[i * k + p];
-            // aimts-lint: allow(A004, exact-zero skip: sparsity fast path, any nonzero must multiply)
             if av == 0.0 {
                 continue;
             }
@@ -93,7 +92,10 @@ impl Tensor {
             (2, 2) => self.matmul_2d(other),
             (3, 3) => self.matmul_batched(other),
             (3, 2) => self.matmul_3d_2d(other),
-            // aimts-lint: allow(A001, rank mismatch is a caller programming error, covered by matmul_bad_dims test)
+            #[expect(
+                clippy::panic,
+                reason = "rank mismatch is a caller programming error, covered by matmul_bad_dims test"
+            )]
             _ => panic!(
                 "unsupported matmul ranks: {:?} x {:?}",
                 self.shape(),

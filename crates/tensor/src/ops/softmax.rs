@@ -40,7 +40,11 @@ impl Tensor {
     /// Numerically-stable softmax over the last dimension.
     pub fn softmax_last(&self) -> Tensor {
         let s = self.shape();
-        let cols = *s.last().expect("softmax on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors never reach softmax: all callers pass batched activations)
+        #[expect(
+            clippy::expect_used,
+            reason = "0-d tensors never reach softmax: all callers pass batched activations"
+        )]
+        let cols = *s.last().expect("softmax on 0-d tensor");
         let rows = self.numel() / cols;
         let out = softmax_rows(&self.data(), rows, cols);
         Tensor::from_op(
@@ -67,7 +71,11 @@ impl Tensor {
     /// Numerically-stable log-softmax over the last dimension.
     pub fn log_softmax_last(&self) -> Tensor {
         let s = self.shape();
-        let cols = *s.last().expect("log_softmax on 0-d tensor"); // aimts-lint: allow(A001, 0-d tensors never reach softmax: all callers pass batched activations)
+        #[expect(
+            clippy::expect_used,
+            reason = "0-d tensors never reach softmax: all callers pass batched activations"
+        )]
+        let cols = *s.last().expect("log_softmax on 0-d tensor");
         let rows = self.numel() / cols;
         let out = log_softmax_rows(&self.data(), rows, cols);
         Tensor::from_op(

@@ -61,12 +61,15 @@ pub fn broadcast_strides(shape: &[usize], target: &[usize]) -> Vec<usize> {
     let mut out = vec![0usize; target.len()];
     for i in 0..shape.len() {
         let t = target[offset + i];
+        #[expect(
+            clippy::panic,
+            reason = "callers validate with broadcast_shapes first; reaching here is a programming error"
+        )]
         if shape[i] == t {
             out[offset + i] = base[i];
         } else if shape[i] == 1 {
             out[offset + i] = 0;
         } else {
-            // aimts-lint: allow(A001, callers validate with broadcast_shapes first; reaching here is a programming error)
             panic!("cannot broadcast {shape:?} to {target:?}");
         }
     }

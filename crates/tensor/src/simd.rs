@@ -119,11 +119,13 @@ pub fn axpy_scalar(c: &mut [f32], s: f32, b: &[f32]) {
     }
 }
 
-// SAFETY: caller must guarantee AVX2 is available (the dispatcher checks
-// active_level()). All loads/stores are unaligned (`loadu`/`storeu`) and
-// bounded by `n = min(c.len(), b.len())`, so every `ptr.add(i)` with
-// `i + 8 <= n` stays inside the borrowed slices; `c`/`b` cannot alias
-// because `c` is `&mut`.
+/// # Safety
+///
+/// Caller must guarantee AVX2 is available (the dispatcher checks
+/// active_level()). All loads/stores are unaligned (`loadu`/`storeu`) and
+/// bounded by `n = min(c.len(), b.len())`, so every `ptr.add(i)` with
+/// `i + 8 <= n` stays inside the borrowed slices; `c`/`b` cannot alias
+/// because `c` is `&mut`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_avx2(c: &mut [f32], s: f32, b: &[f32]) {
@@ -144,9 +146,11 @@ unsafe fn axpy_avx2(c: &mut [f32], s: f32, b: &[f32]) {
     axpy_scalar(&mut c[i..n], s, &b[i..n]);
 }
 
-// SAFETY: SSE2 is baseline on x86_64; unaligned 4-lane loads/stores are
-// bounded by `n = min(c.len(), b.len())`, so `ptr.add(i)` with
-// `i + 4 <= n` stays in bounds, and `&mut c` rules out aliasing with `b`.
+/// # Safety
+///
+/// SSE2 is baseline on x86_64; unaligned 4-lane loads/stores are
+/// bounded by `n = min(c.len(), b.len())`, so `ptr.add(i)` with
+/// `i + 4 <= n` stays in bounds, and `&mut c` rules out aliasing with `b`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn axpy_sse2(c: &mut [f32], s: f32, b: &[f32]) {
@@ -211,12 +215,14 @@ pub(crate) fn mm_tiles(
     }
 }
 
-// SAFETY: caller must guarantee AVX2 (dispatcher-checked), `mt` and `nt`
-// multiples of the tile size with `mt <= m`, `nt <= n`, and operands of at
-// least `m·k`, `k·n` and `m·n` elements. Every access is then in bounds:
-// `a[(i + r)·k + p]` with `i + r < mt`, `p < k`; `b[p·n + j .. + 16]` and
-// `c[(i + r)·n + j .. + 16]` with `j + 16 <= nt`. `&mut c` rules out
-// aliasing with `a` and `b`.
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked), `mt` and `nt`
+/// multiples of the tile size with `mt <= m`, `nt <= n`, and operands of at
+/// least `m·k`, `k·n` and `m·n` elements. Every access is then in bounds:
+/// `a[(i + r)·k + p]` with `i + r < mt`, `p < k`; `b[p·n + j .. + 16]` and
+/// `c[(i + r)·n + j .. + 16]` with `j + 16 <= nt`. `&mut c` rules out
+/// aliasing with `a` and `b`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mm_tiles_avx2(
@@ -242,7 +248,6 @@ unsafe fn mm_tiles_avx2(
                 let (b0, b1) = (_mm256_loadu_ps(br), _mm256_loadu_ps(br.add(8)));
                 for (r, row) in acc.iter_mut().enumerate() {
                     let av = *ap.add((i + r) * k + p);
-                    // aimts-lint: allow(A004, exact-zero skip: the ikj loop skips the same (row, k) pairs, so a zero must not add its products)
                     if av == 0.0 {
                         continue;
                     }
@@ -286,9 +291,11 @@ pub fn add_assign_scalar(a: &mut [f32], b: &[f32]) {
     }
 }
 
-// SAFETY: caller must guarantee AVX2 (dispatcher-checked); unaligned
-// 8-lane accesses are bounded by `n = min(a.len(), b.len())` and `&mut a`
-// rules out aliasing with `b`.
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked); unaligned
+/// 8-lane accesses are bounded by `n = min(a.len(), b.len())` and `&mut a`
+/// rules out aliasing with `b`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
@@ -305,8 +312,10 @@ unsafe fn add_assign_avx2(a: &mut [f32], b: &[f32]) {
     add_assign_scalar(&mut a[i..n], &b[i..n]);
 }
 
-// SAFETY: SSE2 is baseline on x86_64; unaligned 4-lane accesses are
-// bounded by `n = min(a.len(), b.len())` and `&mut a` rules out aliasing.
+/// # Safety
+///
+/// SSE2 is baseline on x86_64; unaligned 4-lane accesses are
+/// bounded by `n = min(a.len(), b.len())` and `&mut a` rules out aliasing.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn add_assign_sse2(a: &mut [f32], b: &[f32]) {
@@ -346,9 +355,11 @@ pub fn scale_assign_scalar(a: &mut [f32], s: f32) {
     }
 }
 
-// SAFETY: caller must guarantee AVX2 (dispatcher-checked); the single
-// `&mut` slice cannot alias anything, and unaligned 8-lane accesses stay
-// below `n = a.len()`.
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked); the single
+/// `&mut` slice cannot alias anything, and unaligned 8-lane accesses stay
+/// below `n = a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn scale_assign_avx2(a: &mut [f32], s: f32) {
@@ -365,8 +376,10 @@ unsafe fn scale_assign_avx2(a: &mut [f32], s: f32) {
     scale_assign_scalar(&mut a[i..n], s);
 }
 
-// SAFETY: SSE2 is baseline on x86_64; the single `&mut` slice cannot
-// alias anything, and unaligned 4-lane accesses stay below `n = a.len()`.
+/// # Safety
+///
+/// SSE2 is baseline on x86_64; the single `&mut` slice cannot
+/// alias anything, and unaligned 4-lane accesses stay below `n = a.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn scale_assign_sse2(a: &mut [f32], s: f32) {
@@ -514,9 +527,11 @@ fn expm1f(x: f32) -> f32 {
     }
 }
 
-// SAFETY: caller must guarantee AVX2 (dispatcher-checked); unaligned
-// 8-lane loads/stores are bounded by `n = a.len()`, so `ptr.add(i)` with
-// `i + 8 <= n` stays inside the single `&mut` slice.
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked); unaligned
+/// 8-lane loads/stores are bounded by `n = a.len()`, so `ptr.add(i)` with
+/// `i + 8 <= n` stays inside the single `&mut` slice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn tanh_avx2(a: &mut [f32]) {
@@ -538,6 +553,11 @@ unsafe fn tanh_avx2(a: &mut [f32]) {
 /// and k = 0 then reuse the general reduction: with `t = -1`,
 /// `x - t·ln2_hi` and `t·ln2_lo` are exactly `x + ln2_hi` and `-ln2_lo`,
 /// and with `t = 0` the reduction leaves `r = x`.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked); the kernel touches
+/// no memory, only its register argument.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn tanh8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {

@@ -6,8 +6,8 @@
 #      fallbacks) looking for UB the debug tally cannot see.
 #   2. A ThreadSanitizer build runs the parallel determinism tests to
 #      catch data races the single-process tally misses.
-#   3. The live workspace must lint at zero diagnostics with the full
-#      A001-A012 pack.
+#   3. The live workspace must lint at zero diagnostics with aimts-lint's
+#      full rule pack (A000, A002, A008-A010, A012).
 #
 # Each tool-dependent stage is gated on the tool being installed: CI
 # installs nightly + miri + rust-src and runs everything; a dev box
@@ -34,7 +34,7 @@ have_rust_src() {
     [ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library" ]
 }
 
-echo "== soundness: workspace lint (A001-A012, zero diagnostics) =="
+echo "== soundness: workspace lint (A000, A002, A008-A010, A012; zero diagnostics) =="
 cargo run -q -p aimts-lint -- check
 
 echo "== soundness: miri on tensor unsafe modules =="

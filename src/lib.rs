@@ -12,6 +12,15 @@
 //! See [`aimts`] for the paper's core framework, [`aimts_data`] for the
 //! synthetic archives, and [`aimts_baselines`] for comparison methods.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::float_cmp_const,
+        clippy::let_underscore_must_use
+    )
+)]
+
 pub use aimts;
 pub use aimts_augment;
 pub use aimts_baselines;
