@@ -103,6 +103,57 @@ fn bench_conv_lowerings(c: &mut Criterion) {
     g.finish();
 }
 
+/// Every conv1d layer `pre-training` runs, at the shape the `pretrain`
+/// workload of `BENCHMARK.json` runs it: `bench_aimts_config()` (hidden 16,
+/// repr 32, dilations {1, 2, 4}) over one micro-batch of 200 univariate
+/// rows of T = 64. The input conv 1→16 takes the direct lowering; the
+/// block convs 16→16 and the output conv 16→32 take im2col. Each layer is
+/// timed as a `no_grad` forward and as a forward + backward, with the
+/// arena enabled as in training. The input series is untracked, as in
+/// training, so its backward computes only the weight and bias gradients.
+fn bench_conv_pretrain_shapes(c: &mut Criterion) {
+    use aimts_bench::runners::bench_aimts_config;
+    use aimts_tensor::ops::Conv1dSpec;
+
+    const ROWS: usize = 200;
+    let cfg = bench_aimts_config();
+    let (hidden, t) = (cfg.hidden, cfg.pretrain_len);
+    let mut layers = vec![(format!("input_1to{hidden}"), 1, hidden, 1)];
+    for &d in &cfg.dilations {
+        layers.push((format!("block_{hidden}to{hidden}_d{d}"), hidden, hidden, d));
+    }
+    layers.push((
+        format!("output_{hidden}to{}", cfg.repr_dim),
+        hidden,
+        cfg.repr_dim,
+        1,
+    ));
+
+    let _arena = aimts_tensor::arena::enable();
+    let mut g = c.benchmark_group("conv1d_pretrain");
+    for (name, cin, cout, dilation) in layers {
+        let spec = Conv1dSpec::same(3, dilation);
+        let x = Tensor::randn(&[ROWS, cin, t], 1);
+        let x = if cin == 1 { x } else { x.requires_grad() };
+        let w = Tensor::randn(&[cout, cin, 3], 2).requires_grad();
+        let b = Tensor::zeros(&[cout]).requires_grad();
+        g.bench_function(format!("{name}_r{ROWS}_l{t}_fwd"), |bch| {
+            bch.iter(|| {
+                aimts_tensor::no_grad(|| black_box(x.conv1d(black_box(&w), Some(&b), spec)))
+            })
+        });
+        g.bench_function(format!("{name}_r{ROWS}_l{t}_fwd_bwd"), |bch| {
+            bch.iter(|| {
+                x.conv1d(black_box(&w), Some(&b), spec).sum_all().backward();
+                for p in [&x, &w, &b] {
+                    p.zero_grad();
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_encoder(c: &mut Criterion) {
     let enc = TsEncoder::new(16, 32, &[1, 2, 4], 0);
     let x = Tensor::randn(&[8, 1, 128], 1);
@@ -151,6 +202,7 @@ criterion_group!(
     bench_augmentations,
     bench_imaging,
     bench_conv_lowerings,
+    bench_conv_pretrain_shapes,
     bench_encoder,
     bench_losses,
     bench_classical

@@ -15,20 +15,26 @@ pub fn avg_accuracy(accs: &[f64]) -> f64 {
 }
 
 /// Competition ranks (1 = best = highest value) with ties averaged,
-/// matching Demšar (2006) as used by the paper's "Avg. Rank".
+/// matching Demšar (2006) as used by the paper's "Avg. Rank". A NaN score
+/// (an accuracy of 0/0, say) ranks after every number, and all NaNs share
+/// the average of the last ranks.
 pub fn rank_row(values: &[f64]) -> Vec<f64> {
     let k = values.len();
     let mut idx: Vec<usize> = (0..k).collect();
-    idx.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap());
+    idx.sort_by(|&a, &b| {
+        let (x, y) = (values[a], values[b]);
+        x.is_nan().cmp(&y.is_nan()).then(y.total_cmp(&x))
+    });
+    #[expect(
+        clippy::float_cmp,
+        reason = "a tie is two exactly equal scores; a tolerance would average the ranks of distinct results"
+    )]
+    let tied = |x: f64, y: f64| x == y || (x.is_nan() && y.is_nan());
     let mut ranks = vec![0f64; k];
     let mut i = 0;
     while i < k {
         let mut j = i;
-        #[expect(
-            clippy::float_cmp,
-            reason = "a tie is two exactly equal scores; a tolerance would average the ranks of distinct results"
-        )]
-        while j + 1 < k && values[idx[j + 1]] == values[idx[i]] {
+        while j + 1 < k && tied(values[idx[j + 1]], values[idx[i]]) {
             j += 1;
         }
         // Average rank for the tie group [i, j].
@@ -99,6 +105,25 @@ mod tests {
     fn ranks_with_ties_averaged() {
         // 0.9 -> 1; two 0.8s share ranks 2 and 3 -> 2.5 each; 0.1 -> 4.
         assert_eq!(rank_row(&[0.9, 0.8, 0.8, 0.1]), vec![1.0, 2.5, 2.5, 4.0]);
+    }
+
+    #[test]
+    fn nan_ranks_after_every_number() {
+        assert_eq!(rank_row(&[0.9, f64::NAN, 0.7]), vec![1.0, 3.0, 2.0]);
+        // Two NaNs share ranks 3 and 4; numbers keep exact-tie averaging.
+        assert_eq!(
+            rank_row(&[f64::NAN, 0.5, -f64::NAN, 0.5]),
+            vec![3.5, 1.5, 3.5, 1.5]
+        );
+        assert_eq!(rank_row(&[f64::NAN]), vec![1.0]);
+    }
+
+    #[test]
+    fn avg_ranks_with_a_nan_score_are_finite() {
+        let m = vec![vec![0.9, f64::NAN, 0.7], vec![0.2, 0.8, 0.5]];
+        let r = avg_ranks(&m);
+        assert!(r.iter().all(|v| v.is_finite()), "{r:?}");
+        assert_eq!(r, vec![2.0, 2.0, 2.0]);
     }
 
     #[test]

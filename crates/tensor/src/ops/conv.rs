@@ -3,26 +3,38 @@
 //! Two lowerings are compiled side by side:
 //!
 //! * a **direct** loop nest ([`Tensor::conv1d_direct`],
-//!   [`Tensor::conv2d_direct`]) — the original kernels, kept as the
-//!   correctness oracle for the im2col path and as the fast choice for
-//!   tiny problems where unfolding overhead dominates;
+//!   [`Tensor::conv2d_direct`]) — the fast choice for tiny problems where
+//!   unfolding overhead dominates. At stride 1 its interior outputs and,
+//!   at every stride, its weight and bias gradients run 8 lanes at a time;
 //! * an **im2col** lowering ([`Tensor::conv1d_im2col`],
-//!   [`Tensor::conv2d_im2col`]) that unfolds each batch element into a
-//!   `[C_in·K, L_out]` column matrix and reduces the convolution — forward
-//!   *and* both backward passes — to the blocked `mm`/`mm_acc` matmul
-//!   kernels, whose contiguous inner loops vectorize where the direct
-//!   nest's per-tap bounds checks cannot.
+//!   [`Tensor::conv2d_im2col`]) that reduces the convolution — forward
+//!   *and* both backward passes — to the register-tiled `mm_acc` matmul
+//!   over each batch element's `[C_in·K, L_out]` column matrix.
 //!
 //! [`Tensor::conv1d`] / [`Tensor::conv2d`] dispatch between the two with a
-//! size heuristic (see [`Conv1dSpec::prefers_im2col`]). The im2col buffer
-//! costs `C_in·K·L_out` floats per batch element and is freed before the
-//! next element is processed, so peak extra memory is one column matrix
-//! regardless of batch size.
+//! size heuristic (see [`Conv1dSpec::prefers_im2col`]). The two lowerings
+//! sum in different orders, so which one a shape takes is part of the
+//! numerics: moving the threshold moves results by rounding.
+//!
+//! At stride 1 — every conv1d the models run — the column matrix is never
+//! built. Each batch element is copied once into a zero-padded `[C_in, L +
+//! 2·padding]` buffer, and row `ci·K + kk` of the column matrix is the
+//! window of that buffer starting at `ci·(L + 2·padding) + kk·dilation`:
+//! the forward matmul reads it through that row table, and the weight
+//! gradient packs its transpose from it in one pass. Other strides, and
+//! conv2d, still unfold into a materialised column buffer. The kernels
+//! these replaced are kept, under `cfg(test)`, as the bitwise reference in
+//! `conv/reference.rs`.
+
+use std::ops::Range;
 
 use crate::arena;
-use crate::ops::matmul::{mm_acc, transpose2d};
-use crate::simd;
+use crate::ops::matmul::{mm_acc, mm_acc_rows, transpose2d};
+use crate::simd::{self, Rows};
 use crate::tensor::{read_pair, Tensor};
+
+#[cfg(test)]
+mod reference;
 
 /// Hyper-parameters of a 1-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +85,22 @@ impl Conv1dSpec {
     /// to amortize the column buffer.
     pub fn prefers_im2col(&self, cin: usize, cout: usize, k: usize, lo: usize) -> bool {
         k > 1 && cout * cin * k * lo >= IM2COL_MIN_FLOPS
+    }
+
+    /// The output positions `o < lo` whose tap at offset `tap` reads inside
+    /// an input of length `l`: `padding <= o·stride + tap < l + padding`.
+    fn tap_range(&self, tap: usize, l: usize, lo: usize) -> Range<usize> {
+        let o_min = self
+            .padding
+            .saturating_sub(tap)
+            .div_ceil(self.stride)
+            .min(lo);
+        let o_max = if l + self.padding > tap {
+            (((l + self.padding - tap - 1) / self.stride) + 1).min(lo)
+        } else {
+            0
+        };
+        o_min..o_max.max(o_min)
     }
 }
 
@@ -126,27 +154,8 @@ fn im2col1d(
         for kk in 0..k {
             let row = &mut col[(ci * k + kk) * lo..(ci * k + kk + 1) * lo];
             let tap = kk * spec.dilation;
-            // Valid output positions: padding <= o*stride + tap < l + padding.
-            let o_min = spec
-                .padding
-                .saturating_sub(tap)
-                .div_ceil(spec.stride)
-                .min(lo);
-            let o_max = if l + spec.padding > tap {
-                (((l + spec.padding - tap - 1) / spec.stride) + 1).min(lo)
-            } else {
-                0
-            };
-            if o_min >= o_max {
-                continue;
-            }
-            if spec.stride == 1 {
-                let src = o_min + tap - spec.padding;
-                row[o_min..o_max].copy_from_slice(&xr[src..src + (o_max - o_min)]);
-            } else {
-                for (o, rv) in row[o_min..o_max].iter_mut().enumerate() {
-                    *rv = xr[(o_min + o) * spec.stride + tap - spec.padding];
-                }
+            for o in spec.tap_range(tap, l, lo) {
+                row[o] = xr[o * spec.stride + tap - spec.padding];
             }
         }
     }
@@ -168,28 +177,81 @@ fn col2im1d(
         for kk in 0..k {
             let row = &gcol[(ci * k + kk) * lo..(ci * k + kk + 1) * lo];
             let tap = kk * spec.dilation;
-            let o_min = spec
-                .padding
-                .saturating_sub(tap)
-                .div_ceil(spec.stride)
-                .min(lo);
-            let o_max = if l + spec.padding > tap {
-                (((l + spec.padding - tap - 1) / spec.stride) + 1).min(lo)
-            } else {
-                0
-            };
-            if o_min >= o_max {
-                continue;
-            }
+            let os = spec.tap_range(tap, l, lo);
             if spec.stride == 1 {
-                let dst = o_min + tap - spec.padding;
-                simd::add_assign(&mut gxr[dst..dst + (o_max - o_min)], &row[o_min..o_max]);
+                let dst = os.start + tap - spec.padding;
+                simd::add_assign(&mut gxr[dst..dst + os.len()], &row[os]);
             } else {
-                for (o, rv) in row[o_min..o_max].iter().enumerate() {
-                    gxr[(o_min + o) * spec.stride + tap - spec.padding] += rv;
+                for o in os {
+                    gxr[o * spec.stride + tap - spec.padding] += row[o];
                 }
             }
         }
+    }
+}
+
+/// One batch element's `[C_in·K, L_out]` column matrix, as a buffer and
+/// where each of its rows starts in it, for [`mm_acc_rows`] and
+/// [`simd::transpose_rows`]. At stride 1 the buffer is the element itself,
+/// zero-padded to `[C_in, L + 2·padding]`, and row `ci·K + kk` starts at
+/// `ci·(L + 2·padding) + kk·dilation`: every window holds exactly the
+/// values, zeros included, that im2col would have copied. At other strides
+/// the buffer is the materialised column matrix, its rows `L_out` apart.
+struct Columns {
+    buf: Vec<f32>,
+    /// The window table at stride 1; empty otherwise.
+    windows: Vec<usize>,
+    dims: Conv1dDims,
+    spec: Conv1dSpec,
+}
+
+impl Columns {
+    fn new(dims: Conv1dDims, spec: Conv1dSpec) -> Self {
+        let (cin, l, k, lo) = (dims.cin, dims.l, dims.k, dims.lo);
+        let (len, windows) = if spec.stride == 1 {
+            let lp = l + 2 * spec.padding;
+            let windows = (0..cin)
+                .flat_map(|ci| (0..k).map(move |kk| ci * lp + kk * spec.dilation))
+                .collect();
+            (cin * lp, windows)
+        } else {
+            (cin * k * lo, Vec::new())
+        };
+        Columns {
+            buf: arena::zeroed(len),
+            windows,
+            dims,
+            spec,
+        }
+    }
+
+    /// Load batch element `xb` (`[C_in, L]`) and return the buffer and
+    /// where each column-matrix row starts in it.
+    fn load(&mut self, xb: &[f32]) -> (&[f32], Rows<'_>) {
+        let (cin, l, k, lo) = (self.dims.cin, self.dims.l, self.dims.k, self.dims.lo);
+        if self.spec.stride == 1 {
+            // Only the interior is written, so the padding stays zero.
+            let (pad, lp) = (self.spec.padding, l + 2 * self.spec.padding);
+            for ci in 0..cin {
+                self.buf[ci * lp + pad..ci * lp + pad + l]
+                    .copy_from_slice(&xb[ci * l..(ci + 1) * l]);
+            }
+            (&self.buf, Rows::Table(&self.windows))
+        } else {
+            self.buf.fill(0.0);
+            im2col1d(xb, &mut self.buf, cin, l, k, lo, self.spec);
+            let rows = Rows::Strided {
+                count: cin * k,
+                stride: lo,
+            };
+            (&self.buf, rows)
+        }
+    }
+}
+
+impl Drop for Columns {
+    fn drop(&mut self) {
+        arena::recycle(std::mem::take(&mut self.buf));
     }
 }
 
@@ -324,6 +386,17 @@ struct Conv1dDims {
     lo: usize,
 }
 
+/// Append one batch element's `[C_out, L_out]` output rows to `out`, each
+/// starting at its channel's bias, or at zero without one. Written just
+/// before the kernel accumulates into them, never zero-filled first.
+fn push_bias_rows(out: &mut Vec<f32>, bias: Option<&[f32]>, cout: usize, lo: usize) -> usize {
+    let start = out.len();
+    for co in 0..cout {
+        out.extend(std::iter::repeat_n(bias.map_or(0.0, |bv| bv[co]), lo));
+    }
+    start
+}
+
 fn conv1d_forward_direct(
     x: &[f32],
     w: &[f32],
@@ -332,18 +405,27 @@ fn conv1d_forward_direct(
     spec: Conv1dSpec,
 ) -> Vec<f32> {
     let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
-    let mut out = arena::zeroed(d.b * cout * lo);
-    for (bi, ochunk) in out.chunks_mut(cout * lo).enumerate() {
+    // Positions whose every tap lies inside the row run 8 at a time at
+    // stride 1; the rest, and every position at other strides, take the
+    // scalar loop, with the same per-element sequence.
+    let inner = if spec.stride == 1 {
+        let first = spec.tap_range(0, l, lo);
+        let last = spec.tap_range(k.saturating_sub(1) * spec.dilation, l, lo);
+        first.start..last.end.max(first.start)
+    } else {
+        0..0
+    };
+    let mut out = arena::take(d.b * cout * lo);
+    for bi in 0..d.b {
+        let start = push_bias_rows(&mut out, bias, cout, lo);
+        let ochunk = &mut out[start..];
         let xb = &x[bi * cin * l..(bi + 1) * cin * l];
         for co in 0..cout {
             let orow = &mut ochunk[co * lo..(co + 1) * lo];
-            if let Some(bv) = bias {
-                orow.iter_mut().for_each(|v| *v = bv[co]);
-            }
             for ci in 0..cin {
                 let xr = &xb[ci * l..(ci + 1) * l];
                 let wr = &w[(co * cin + ci) * k..(co * cin + ci + 1) * k];
-                for (o, ov) in orow.iter_mut().enumerate() {
+                for o in (0..inner.start).chain(inner.end..lo) {
                     let base = o * spec.stride;
                     let mut acc = 0f32;
                     for (kk, &wv) in wr.iter().enumerate() {
@@ -352,7 +434,11 @@ fn conv1d_forward_direct(
                             acc += wv * xr[pos - spec.padding];
                         }
                     }
-                    *ov += acc;
+                    orow[o] += acc;
+                }
+                if !inner.is_empty() {
+                    let xs = &xr[inner.start - spec.padding..];
+                    simd::conv_taps(&mut orow[inner.clone()], xs, wr, spec.dilation);
                 }
             }
         }
@@ -367,31 +453,24 @@ fn conv1d_forward_im2col(
     d: &Conv1dDims,
     spec: Conv1dSpec,
 ) -> Vec<f32> {
-    let (cin, l, cout, k, lo) = (d.cin, d.l, d.cout, d.k, d.lo);
-    let mut out = arena::zeroed(d.b * cout * lo);
-    for (bi, ochunk) in out.chunks_mut(cout * lo).enumerate() {
-        if let Some(bv) = bias {
-            for co in 0..cout {
-                ochunk[co * lo..(co + 1) * lo]
-                    .iter_mut()
-                    .for_each(|v| *v = bv[co]);
-            }
-        }
-        let mut col = arena::zeroed(cin * k * lo);
-        im2col1d(
-            &x[bi * cin * l..(bi + 1) * cin * l],
-            &mut col,
-            cin,
-            l,
-            k,
-            lo,
-            spec,
-        );
+    let (cin, l, cout, lo) = (d.cin, d.l, d.cout, d.lo);
+    let mut cols = Columns::new(*d, spec);
+    let mut out = arena::take(d.b * cout * lo);
+    for bi in 0..d.b {
+        let start = push_bias_rows(&mut out, bias, cout, lo);
+        let (col, rows) = cols.load(&x[bi * cin * l..(bi + 1) * cin * l]);
         // W viewed as [C_out, C_in·K] is already contiguous row-major.
-        mm_acc(ochunk, w, &col, cout, cin * k, lo);
-        arena::recycle(col);
+        mm_acc_rows(&mut out[start..], w, col, rows, cout, lo);
     }
     out
+}
+
+/// `gb[co] += Σ_o gout[b, co, o]` for every batch element in order, each
+/// row summed as `iter().sum::<f32>()` sums it.
+fn bias_grad(gb: &mut [f32], gout: &[f32], cout: usize, lo: usize) {
+    for gob in gout.chunks_exact(cout * lo) {
+        simd::row_sums(gb, gob, lo);
+    }
 }
 
 /// Backward kernels: `gx` one batch element at a time, then `gw`/`gb`
@@ -408,8 +487,8 @@ fn conv1d_backward_direct(
     d: &Conv1dDims,
     spec: Conv1dSpec,
     gx: Option<&mut [f32]>,
-    mut gw: Option<&mut [f32]>,
-    mut gb: Option<&mut [f32]>,
+    gw: Option<&mut [f32]>,
+    gb: Option<&mut [f32]>,
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
     let gx_rows = gx.into_iter().flat_map(|gx| gx.chunks_mut(cin * l));
@@ -435,31 +514,54 @@ fn conv1d_backward_direct(
             }
         }
     }
-    for bi in 0..b {
-        let xb = &x[bi * cin * l..(bi + 1) * cin * l];
-        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-        for co in 0..cout {
-            let gor = &gob[co * lo..(co + 1) * lo];
-            if let Some(gb) = gb.as_deref_mut() {
-                gb[co] += gor.iter().sum::<f32>();
+    if let Some(gb) = gb {
+        bias_grad(gb, gout, cout, lo);
+    }
+    let Some(gw) = gw else {
+        return;
+    };
+    // Blocks of up to 8 output channels, a few taps at a time, with their
+    // gradients held in registers over the whole batch. Each element still
+    // sums over (batch, o) in ascending order, skipping zero gradients.
+    let pk = cin * k;
+    for cb in (0..cout).step_by(simd::WEIGHT_LANES) {
+        let channels = (cout - cb).min(simd::WEIGHT_LANES);
+        for p0 in (0..pk).step_by(simd::WEIGHT_TAPS) {
+            let ps = p0..(p0 + simd::WEIGHT_TAPS).min(pk);
+            let mut acc = [[0f32; simd::WEIGHT_LANES]; simd::WEIGHT_TAPS];
+            for (p, lane_acc) in ps.clone().zip(acc.iter_mut()) {
+                for (c, a) in lane_acc.iter_mut().enumerate().take(channels) {
+                    *a = gw[(cb + c) * pk + p];
+                }
             }
-            let Some(gw) = gw.as_deref_mut() else {
-                continue;
-            };
-            for ci in 0..cin {
-                let xr = &xb[ci * l..(ci + 1) * l];
-                let gwr = &mut gw[(co * cin + ci) * k..(co * cin + ci + 1) * k];
-                for (o, &g) in gor.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
+            for bi in 0..b {
+                let xb = &x[bi * cin * l..(bi + 1) * cin * l];
+                let taps: [simd::Tap; simd::WEIGHT_TAPS] = std::array::from_fn(|q| {
+                    let (p, tap) = (p0 + q, ((p0 + q) % k) * spec.dilation);
+                    let os = spec.tap_range(tap, l, lo);
+                    if p >= pk || os.is_empty() {
+                        return simd::Tap { os: 0..0, xs: &[] };
                     }
-                    let base = o * spec.stride;
-                    for (kk, gwv) in gwr.iter_mut().enumerate() {
-                        let pos = base + kk * spec.dilation;
-                        if pos >= spec.padding && pos - spec.padding < l {
-                            *gwv += g * xr[pos - spec.padding];
-                        }
+                    let first = (p / k) * l + os.start * spec.stride + tap - spec.padding;
+                    simd::Tap {
+                        os,
+                        xs: &xb[first..],
                     }
+                });
+                let gob = &gout[(bi * cout + cb) * lo..(bi * cout + cb + channels) * lo];
+                let nq = ps.len();
+                simd::conv_weight_lanes(
+                    &mut acc[..nq],
+                    gob,
+                    channels,
+                    lo,
+                    &taps[..nq],
+                    spec.stride,
+                );
+            }
+            for (p, lane_acc) in ps.clone().zip(acc.iter()) {
+                for (c, a) in lane_acc.iter().enumerate().take(channels) {
+                    gw[(cb + c) * pk + p] = *a;
                 }
             }
         }
@@ -477,50 +579,43 @@ fn conv1d_backward_im2col(
     d: &Conv1dDims,
     spec: Conv1dSpec,
     gx: Option<&mut [f32]>,
-    mut gw: Option<&mut [f32]>,
-    mut gb: Option<&mut [f32]>,
+    gw: Option<&mut [f32]>,
+    gb: Option<&mut [f32]>,
 ) {
     let (b, cin, l, cout, k, lo) = (d.b, d.cin, d.l, d.cout, d.k, d.lo);
     // grad input: gcol = W^T [C_in·K, C_out] · gout_b [C_out, L_out],
     // then fold columns back with col2im.
     if let Some(gx) = gx {
         let wt = transpose2d(w, cout, cin * k);
+        let mut gcol = arena::take(cin * k * lo);
         for (bi, gxb) in gx.chunks_mut(cin * l).enumerate() {
             let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-            let mut gcol = arena::zeroed(cin * k * lo);
+            // The matmul accumulates, and each sum starts from +0.
+            gcol.clear();
+            gcol.resize(cin * k * lo, 0.0);
             mm_acc(&mut gcol, &wt, gob, cin * k, cout, lo);
             col2im1d(&gcol, gxb, cin, l, k, lo, spec);
-            arena::recycle(gcol);
         }
+        arena::recycle(gcol);
         arena::recycle(wt);
     }
-    // grad weight: gw += gout_b [C_out, L_out] · col_b^T [L_out, C_in·K].
-    let mut col = arena::zeroed(cin * k * lo);
-    for bi in 0..b {
-        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
-        if let Some(gb) = gb.as_deref_mut() {
-            for co in 0..cout {
-                gb[co] += gob[co * lo..(co + 1) * lo].iter().sum::<f32>();
-            }
-        }
-        let Some(gw) = gw.as_deref_mut() else {
-            continue;
-        };
-        col.fill(0.0);
-        im2col1d(
-            &x[bi * cin * l..(bi + 1) * cin * l],
-            &mut col,
-            cin,
-            l,
-            k,
-            lo,
-            spec,
-        );
-        let colt = transpose2d(&col, cin * k, lo);
-        mm_acc(gw, gob, &colt, cout, lo, cin * k);
-        arena::recycle(colt);
+    if let Some(gb) = gb {
+        bias_grad(gb, gout, cout, lo);
     }
-    arena::recycle(col);
+    // grad weight: gw += gout_b [C_out, L_out] · col_b^T [L_out, C_in·K],
+    // with col_b^T packed from the column windows in one pass.
+    let Some(gw) = gw else {
+        return;
+    };
+    let mut cols = Columns::new(*d, spec);
+    let mut colt = arena::take(lo * cin * k);
+    for bi in 0..b {
+        let (col, rows) = cols.load(&x[bi * cin * l..(bi + 1) * cin * l]);
+        simd::transpose_rows(&mut colt, col, rows, lo);
+        let gob = &gout[bi * cout * lo..(bi + 1) * cout * lo];
+        mm_acc(gw, gob, &colt, cout, lo, cin * k);
+    }
+    arena::recycle(colt);
 }
 
 #[derive(Clone, Copy)]

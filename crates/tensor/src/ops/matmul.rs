@@ -3,20 +3,30 @@
 use std::ops::Range;
 
 use crate::arena;
-use crate::simd;
+use crate::simd::{self, Rows};
 use crate::tensor::{read_pair, Tensor};
 
-/// `c += a (m×k) · b (k×n)`. At AVX2 the full 4×16 tiles of `c` run in
-/// registers ([`simd::mm_tiles`]); the row and column tails, and all of `c`
-/// at SSE2 or scalar, take the ikj loop. Both are bit-identical to the
-/// scalar ikj loop (see `crate::simd`).
+/// `c += a (m×k) · b (k×n)` for a contiguous `b`; see [`mm_acc_rows`].
 pub(crate) fn mm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
+    let rows = Rows::Strided {
+        count: k,
+        stride: n,
+    };
+    mm_acc_rows(c, a, b, rows, m, n);
+}
+
+/// `c += a (m×k) · b (k×n)`, where row `p` of `b` is
+/// `b[rows.start(p)..][..n]` and `k = rows.len()`. At AVX2 the full 4×16
+/// tiles of `c` run in registers ([`simd::mm_tiles`]); the row and column
+/// tails, and all of `c` at SSE2 or scalar, take the ikj loop. Both are
+/// bit-identical to the scalar ikj loop (see `crate::simd`).
+pub(crate) fn mm_acc_rows(c: &mut [f32], a: &[f32], b: &[f32], rows: Rows, m: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * rows.len());
     debug_assert_eq!(c.len(), m * n);
-    let (mt, nt) = simd::mm_tiles(c, a, b, m, k, n);
-    mm_ikj(c, a, b, k, n, 0..mt, nt..n);
-    mm_ikj(c, a, b, k, n, mt..m, 0..n);
+    let (mt, nt) = simd::mm_tiles(c, a, b, rows, m, n);
+    mm_ikj(c, a, b, rows, n, 0..mt, nt..n);
+    mm_ikj(c, a, b, rows, n, mt..m, 0..n);
 }
 
 /// The ikj kernel over a block of `c`: for each row, ascending `k`, one
@@ -26,7 +36,7 @@ fn mm_ikj(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
-    k: usize,
+    b_rows: Rows,
     n: usize,
     rows: Range<usize>,
     cols: Range<usize>,
@@ -34,6 +44,7 @@ fn mm_ikj(
     if cols.is_empty() {
         return;
     }
+    let k = b_rows.len();
     for i in rows {
         let crow = &mut c[i * n + cols.start..i * n + cols.end];
         for p in 0..k {
@@ -41,7 +52,8 @@ fn mm_ikj(
             if av == 0.0 {
                 continue;
             }
-            simd::axpy(crow, av, &b[p * n + cols.start..p * n + cols.end]);
+            let start = b_rows.start(p);
+            simd::axpy(crow, av, &b[start + cols.start..start + cols.end]);
         }
     }
 }
@@ -69,14 +81,15 @@ fn bmm(a: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize) -> Vec<f3
     out
 }
 
-/// Transpose an `r×c` row-major matrix (arena-backed scratch).
+/// Transpose an `r×c` row-major matrix (arena-backed scratch), in 8×8
+/// register blocks at AVX2 (see [`simd::transpose_rows`]).
 pub(crate) fn transpose2d(x: &[f32], r: usize, c: usize) -> Vec<f32> {
-    let mut out = arena::zeroed(r * c);
-    for i in 0..r {
-        for j in 0..c {
-            out[j * r + i] = x[i * c + j];
-        }
-    }
+    let mut out = arena::take(r * c);
+    let rows = Rows::Strided {
+        count: r,
+        stride: c,
+    };
+    simd::transpose_rows(&mut out, x, rows, c);
     out
 }
 

@@ -23,6 +23,7 @@
 //! level per thread with [`force_level`] to compare paths against each
 //! other on the same machine.
 
+use std::ops::Range;
 #[cfg(target_arch = "x86_64")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -176,10 +177,53 @@ const TILE_M: usize = 4;
 /// Columns of one [`mm_tiles`] register tile (two 8-lane registers).
 const TILE_N: usize = 16;
 
+/// Where each row of a matrix operand starts in its buffer, for
+/// [`mm_tiles`] and [`transpose_rows`]. A contiguous row-major matrix is
+/// `Strided` and needs no table; a stride-1 conv's windows into its
+/// zero-padded input are a `Table`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Rows<'a> {
+    /// `count` rows, row `p` starting at `p·stride`.
+    Strided { count: usize, stride: usize },
+    /// Row `p` starts at `table[p]`.
+    Table(&'a [usize]),
+}
+
+impl Rows<'_> {
+    /// Number of rows.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Rows::Strided { count, .. } => count,
+            Rows::Table(table) => table.len(),
+        }
+    }
+
+    /// Where row `p` starts.
+    pub(crate) fn start(self, p: usize) -> usize {
+        match self {
+            Rows::Strided { stride, .. } => p * stride,
+            Rows::Table(table) => table[p],
+        }
+    }
+
+    /// Whether every row, `n` elements long, lies inside `src`.
+    fn fit(self, src: &[f32], n: usize) -> bool {
+        let ends = |start: usize| start.checked_add(n).is_some_and(|end| end <= src.len());
+        match self {
+            Rows::Strided { count: 0, .. } => true,
+            Rows::Strided { count, stride } => (count - 1).checked_mul(stride).is_some_and(ends),
+            Rows::Table(table) => table.iter().all(|&start| ends(start)),
+        }
+    }
+}
+
 /// `c += a (m×k) · b (k×n)` over the full 4-row × 16-column tiles of `c`,
-/// each held in eight AVX2 registers for the whole `k` sweep. Returns how
-/// many leading rows and columns the tiles covered: `(0, 0)` below AVX2,
-/// where the caller's ikj loop does all the work, as it does for the tails.
+/// each held in eight AVX2 registers for the whole `k` sweep. Row `p` of
+/// `b` is `b[rows.start(p)..][..n]` and `k = rows.len()`, so a stride-1
+/// conv reads im2col's column matrix from its padded input without
+/// building it. Returns how many leading rows and columns the tiles
+/// covered: `(0, 0)` below AVX2, where the caller's ikj loop does all the
+/// work, as it does for the tails.
 ///
 /// Each element still sees `c + a[i, p]·b[p, j]` as a separate multiply
 /// then add, in ascending `p`, skipping exactly the `(i, p)` whose
@@ -189,14 +233,15 @@ pub(crate) fn mm_tiles(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
+    rows: Rows,
     m: usize,
-    k: usize,
     n: usize,
 ) -> (usize, usize) {
+    let k = rows.len();
     let holds =
         |len: usize, rows: usize, cols: usize| rows.checked_mul(cols).is_some_and(|e| len >= e);
     assert!(
-        holds(a.len(), m, k) && holds(b.len(), k, n) && holds(c.len(), m, n),
+        holds(a.len(), m, k) && holds(c.len(), m, n) && rows.fit(b, n),
         "mm_tiles operands shorter than {m}x{k} · {k}x{n}"
     );
     let (mt, nt) = (m / TILE_M * TILE_M, n / TILE_N * TILE_N);
@@ -207,8 +252,14 @@ pub(crate) fn mm_tiles(
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => {
             // SAFETY: active_level() only reports levels the CPU supports,
-            // and the assert above covers every element the tiles touch.
-            unsafe { mm_tiles_avx2(c, a, b, mt, k, n, nt) };
+            // and the assert above covers every element the tiles touch;
+            // both row maps are pure.
+            unsafe {
+                match rows {
+                    Rows::Strided { stride, .. } => mm_tiles_avx2(c, a, b, k, |p| p * stride, m, n),
+                    Rows::Table(table) => mm_tiles_avx2(c, a, b, k, |p| table[p], m, n),
+                }
+            }
             (mt, nt)
         }
         _ => (0, 0),
@@ -217,34 +268,35 @@ pub(crate) fn mm_tiles(
 
 /// # Safety
 ///
-/// Caller must guarantee AVX2 (dispatcher-checked), `mt` and `nt`
-/// multiples of the tile size with `mt <= m`, `nt <= n`, and operands of at
-/// least `m·k`, `k·n` and `m·n` elements. Every access is then in bounds:
-/// `a[(i + r)·k + p]` with `i + r < mt`, `p < k`; `b[p·n + j .. + 16]` and
-/// `c[(i + r)·n + j .. + 16]` with `j + 16 <= nt`. `&mut c` rules out
-/// aliasing with `a` and `b`.
+/// Caller must guarantee AVX2 (dispatcher-checked), `a` and `c` of at
+/// least `m·k` and `m·n` elements, and a `start` that returns the same
+/// value on every call, with `start(p) + n <= b.len()` for every `p < k`.
+/// For the tiled `mt = ⌊m/4⌋·4` rows and `nt = ⌊n/16⌋·16` columns every
+/// access is then in bounds: `a[(i + r)·k + p]` with `i + r < mt`,
+/// `p < k`; `b[start(p) + j .. + 16]` and `c[(i + r)·n + j .. + 16]` with
+/// `j + 16 <= nt`. `&mut c` rules out aliasing with `a` and `b`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mm_tiles_avx2(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
-    mt: usize,
     k: usize,
+    start: impl Fn(usize) -> usize,
+    m: usize,
     n: usize,
-    nt: usize,
 ) {
     use std::arch::x86_64::*;
     let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-    for i in (0..mt).step_by(TILE_M) {
-        for j in (0..nt).step_by(TILE_N) {
+    for i in (0..m / TILE_M * TILE_M).step_by(TILE_M) {
+        for j in (0..n / TILE_N * TILE_N).step_by(TILE_N) {
             let mut acc = [[_mm256_setzero_ps(); 2]; TILE_M];
             for (r, row) in acc.iter_mut().enumerate() {
                 let cr = cp.add((i + r) * n + j);
                 *row = [_mm256_loadu_ps(cr), _mm256_loadu_ps(cr.add(8))];
             }
             for p in 0..k {
-                let br = bp.add(p * n + j);
+                let br = bp.add(start(p) + j);
                 let (b0, b1) = (_mm256_loadu_ps(br), _mm256_loadu_ps(br.add(8)));
                 for (r, row) in acc.iter_mut().enumerate() {
                     let av = *ap.add((i + r) * k + p);
@@ -264,6 +316,425 @@ unsafe fn mm_tiles_avx2(
             }
         }
     }
+}
+
+// ----- transpose_rows: out[o, p] = src[rows.start(p) + o] ---------------
+
+/// Replace `out` with the `n × P` matrix (`P = rows.len()`) whose column
+/// `p` is the window `src[rows.start(p)..][..n]`: `out[o·P + p] =
+/// src[rows.start(p) + o]`. With [`Rows::Strided`] rows `c` apart this
+/// transposes a row-major `P × c` matrix; with a stride-1 conv's window
+/// table it packs the weight gradient's transposed column matrix straight
+/// from the zero-padded input, in one pass. Values are moved, never
+/// computed, so every level gives the same bits. At AVX2 full 8×8 blocks
+/// are transposed in registers; the edges, and everything below AVX2, take
+/// the scalar loop. Every element of `out` is written exactly once, so it
+/// is not zero-filled first.
+pub(crate) fn transpose_rows(out: &mut Vec<f32>, src: &[f32], rows: Rows, n: usize) {
+    assert!(
+        rows.fit(src, n),
+        "transpose_rows: a window of {n} runs past the {}-element source",
+        src.len()
+    );
+    let pn = rows.len();
+    let len = pn * n;
+    out.clear();
+    out.reserve(len);
+    let dst = &mut out.spare_capacity_mut()[..len];
+    let (pb, ob) = match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => {
+            // SAFETY: active_level() only reports levels the CPU supports;
+            // the assert above covers every window the blocks read, `dst`
+            // holds all `P·n` elements they write, and both row maps are
+            // pure.
+            unsafe {
+                match rows {
+                    Rows::Strided { stride, .. } => {
+                        transpose_rows_avx2(dst, src, pn, |p| p * stride, n);
+                    }
+                    Rows::Table(table) => transpose_rows_avx2(dst, src, pn, |p| table[p], n),
+                }
+            }
+            (pn / 8 * 8, n / 8 * 8)
+        }
+        _ => (0, 0),
+    };
+    transpose_rows_scalar(dst, src, rows, pb..pn, 0..n);
+    transpose_rows_scalar(dst, src, rows, 0..pb, ob..n);
+    // SAFETY: `dst` is the first `len` elements of `out`'s capacity. The
+    // AVX2 blocks wrote every `(o, p)` with `o < ob` and `p < pb`, and the
+    // two scalar calls every other `(o, p)` with `o < n` and `p < P`, so
+    // all `len` are initialised.
+    unsafe { out.set_len(len) };
+}
+
+/// Scalar part of [`transpose_rows`] over the block `ps × os`.
+fn transpose_rows_scalar(
+    dst: &mut [std::mem::MaybeUninit<f32>],
+    src: &[f32],
+    rows: Rows,
+    ps: Range<usize>,
+    os: Range<usize>,
+) {
+    let pn = rows.len();
+    for p in ps {
+        let window = &src[rows.start(p)..];
+        for o in os.clone() {
+            dst[o * pn + p].write(window[o]);
+        }
+    }
+}
+
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked), a `start` that
+/// returns the same value on every call, with `start(p) + n <= src.len()`
+/// for every `p < pn`, and `dst.len() >= pn·n`. The blocks then read
+/// `src[start(p) + o .. + 8]` with `o + 8 <= n` and write `dst[(o + s)·pn
+/// + p .. + 8]` with `o + s < n`, `p + 8 <= pn`, all in bounds; `dst` is
+/// `&mut`, so it cannot alias `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_rows_avx2(
+    dst: &mut [std::mem::MaybeUninit<f32>],
+    src: &[f32],
+    pn: usize,
+    start: impl Fn(usize) -> usize,
+    n: usize,
+) {
+    use std::arch::x86_64::*;
+    let (dp, sp) = (dst.as_mut_ptr().cast::<f32>(), src.as_ptr());
+    for p in (0..pn / 8 * 8).step_by(8) {
+        let block: [usize; 8] = std::array::from_fn(|r| start(p + r));
+        for o in (0..n / 8 * 8).step_by(8) {
+            let cols = transpose8(std::array::from_fn(|r| {
+                _mm256_loadu_ps(sp.add(block[r] + o))
+            }));
+            for (s, col) in cols.iter().enumerate() {
+                _mm256_storeu_ps(dp.add((o + s) * pn + p), *col);
+            }
+        }
+    }
+}
+
+/// Transpose an 8×8 block held as eight row registers: lane `r` of output
+/// `s` is lane `s` of input `r`. Only shuffles, so every bit is kept.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked); the kernel touches
+/// no memory, only its register arguments.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Interleave row pairs, then pairs of pairs, within each 128-bit half.
+    let t: [__m256; 8] = std::array::from_fn(|i| {
+        let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+        if i % 2 == 0 {
+            _mm256_unpacklo_ps(a, b)
+        } else {
+            _mm256_unpackhi_ps(a, b)
+        }
+    });
+    let q = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+        _mm256_shuffle_ps::<0xee>(t[0], t[2]),
+        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+        _mm256_shuffle_ps::<0xee>(t[1], t[3]),
+        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+        _mm256_shuffle_ps::<0xee>(t[4], t[6]),
+        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+        _mm256_shuffle_ps::<0xee>(t[5], t[7]),
+    ];
+    // q[s] holds column s of rows 0-3 in its low half and column s + 4 in
+    // its high half; q[s + 4] the same for rows 4-7.
+    std::array::from_fn(|s| {
+        if s < 4 {
+            _mm256_permute2f128_ps::<0x20>(q[s], q[s + 4])
+        } else {
+            _mm256_permute2f128_ps::<0x31>(q[s - 4], q[s])
+        }
+    })
+}
+
+// ----- conv_taps: out[o] += Σ_kk w[kk]·x[o + kk·d] ----------------------
+
+/// One output row of the direct conv at stride 1, over positions whose
+/// every tap lies inside the input: `out[o] += acc` with `acc = 0 +
+/// w[0]·x[o] + w[1]·x[o + d] + …`, summed left to right, which is the
+/// direct loop's per-element sequence. At AVX2 eight positions run per
+/// register with separate multiply and add, as in [`axpy`]; the tail, and
+/// everything below AVX2, takes the scalar loop.
+pub(crate) fn conv_taps(out: &mut [f32], x: &[f32], w: &[f32], d: usize) {
+    let span = w.len().saturating_sub(1).checked_mul(d);
+    assert!(
+        span.and_then(|s| s.checked_add(out.len()))
+            .is_some_and(|need| x.len() >= need),
+        "conv_taps: input shorter than the taps reach"
+    );
+    let done = match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_level() only reports levels the CPU supports, and
+        // the assert above covers every tap the blocks read.
+        Level::Avx2 => unsafe { conv_taps_avx2(out, x, w, d) },
+        _ => 0,
+    };
+    conv_taps_scalar(&mut out[done..], &x[done..], w, d);
+}
+
+/// Scalar oracle for [`conv_taps`].
+pub(crate) fn conv_taps_scalar(out: &mut [f32], x: &[f32], w: &[f32], d: usize) {
+    for (o, ov) in out.iter_mut().enumerate() {
+        let mut acc = 0f32;
+        for (kk, &wv) in w.iter().enumerate() {
+            acc += wv * x[o + kk * d];
+        }
+        *ov += acc;
+    }
+}
+
+/// Returns how many leading positions it wrote (a multiple of 8).
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked) and `x.len() >=
+/// out.len() + (w.len() - 1)·d`: each block reads `x[o + kk·d .. + 8]`
+/// with `o + 8 <= out.len()` and writes `out[o .. + 8]`, all in bounds;
+/// `&mut out` rules out aliasing with `x` and `w`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv_taps_avx2(out: &mut [f32], x: &[f32], w: &[f32], d: usize) -> usize {
+    use std::arch::x86_64::*;
+    let (op, xp) = (out.as_mut_ptr(), x.as_ptr());
+    let mut o = 0;
+    while o + 8 <= out.len() {
+        let mut acc = _mm256_setzero_ps();
+        for (kk, &wv) in w.iter().enumerate() {
+            let prod = _mm256_mul_ps(_mm256_set1_ps(wv), _mm256_loadu_ps(xp.add(o + kk * d)));
+            acc = _mm256_add_ps(acc, prod);
+        }
+        _mm256_storeu_ps(op.add(o), _mm256_add_ps(_mm256_loadu_ps(op.add(o)), acc));
+        o += 8;
+    }
+    o
+}
+
+// ----- conv_weight_lanes: the direct conv's weight gradient, 8 channels --
+
+/// Most output channels one [`conv_weight_lanes`] call covers, one per
+/// lane.
+pub(crate) const WEIGHT_LANES: usize = 8;
+/// Most taps one [`conv_weight_lanes`] call accumulates, one register each.
+pub(crate) const WEIGHT_TAPS: usize = 4;
+
+/// One tap of [`conv_weight_lanes`]: the output positions `os` it reads
+/// inside the input, and the input window `xs`, where `o` reads
+/// `xs[(o - os.start)·stride]`.
+pub(crate) struct Tap<'a> {
+    pub(crate) os: Range<usize>,
+    pub(crate) xs: &'a [f32],
+}
+
+/// The direct conv's weight gradient for up to [`WEIGHT_LANES`] output
+/// channels and [`WEIGHT_TAPS`] taps: `acc[q][c] += g[c, o]·x_q(o)` for
+/// each tap `q`, channel `c < channels` and `o` in `taps[q].os` ascending,
+/// skipping every `(c, o)` whose `g[c, o]` is zero. `g` holds the
+/// channels' output gradients as rows of `n`. At AVX2 a full block of
+/// eight channels sits in one register per tap: each 8×8 block of `g` is
+/// transposed in registers so that a lane is a channel, and a skipped lane
+/// keeps its old value through a blend, so a zero gradient times an
+/// infinite or NaN input stays skipped exactly as in the scalar loop,
+/// which takes partial blocks and every level below AVX2.
+pub(crate) fn conv_weight_lanes(
+    acc: &mut [[f32; WEIGHT_LANES]],
+    g: &[f32],
+    channels: usize,
+    n: usize,
+    taps: &[Tap],
+    stride: usize,
+) {
+    assert!(
+        acc.len() == taps.len()
+            && taps.len() <= WEIGHT_TAPS
+            && channels <= WEIGHT_LANES
+            && n.checked_mul(channels).is_some_and(|len| len <= g.len())
+            && taps.iter().all(|t| {
+                t.os.end <= n
+                    && (t.os.is_empty()
+                        || (t.os.len() - 1)
+                            .checked_mul(stride)
+                            .is_some_and(|last| last < t.xs.len()))
+            }),
+        "conv_weight_lanes: taps reach past {n} outputs or their inputs"
+    );
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_level() only reports levels the CPU supports, and
+        // the assert above covers every gradient and input the kernel reads
+        // for a full block of channels.
+        Level::Avx2 if channels == WEIGHT_LANES => unsafe {
+            conv_weight_lanes_avx2(acc, g, n, taps, stride)
+        },
+        _ => conv_weight_lanes_scalar(acc, g, channels, n, taps, stride),
+    }
+}
+
+/// Scalar oracle for [`conv_weight_lanes`].
+fn conv_weight_lanes_scalar(
+    acc: &mut [[f32; WEIGHT_LANES]],
+    g: &[f32],
+    channels: usize,
+    n: usize,
+    taps: &[Tap],
+    stride: usize,
+) {
+    for (lanes, tap) in acc.iter_mut().zip(taps) {
+        for o in tap.os.clone() {
+            let xv = tap.xs[(o - tap.os.start) * stride];
+            for (c, av) in lanes.iter_mut().enumerate().take(channels) {
+                let gv = g[c * n + o];
+                if gv != 0.0 {
+                    *av += gv * xv;
+                }
+            }
+        }
+    }
+}
+
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked), `g.len() >= 8·n`,
+/// `taps.len() == acc.len() <= WEIGHT_TAPS`, and for every tap `os.end <=
+/// n` and `(os.len() - 1)·stride < xs.len()`. Every read is then in
+/// bounds: `g[c·n + o .. + 8]` for full blocks with `o + 8 <= n`,
+/// `g[c·n + o]` with `o < n` for the last one, and `xs[(o - os.start)·
+/// stride]` only for `o` in `os`; `&mut acc` rules out aliasing.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv_weight_lanes_avx2(
+    acc: &mut [[f32; WEIGHT_LANES]],
+    g: &[f32],
+    n: usize,
+    taps: &[Tap],
+    stride: usize,
+) {
+    use std::arch::x86_64::*;
+    let gp = g.as_ptr();
+    let mut sums = [_mm256_setzero_ps(); WEIGHT_TAPS];
+    for (sum, lanes) in sums.iter_mut().zip(acc.iter()) {
+        *sum = _mm256_loadu_ps(lanes.as_ptr());
+    }
+    let lo = taps.iter().map(|t| t.os.start).min().unwrap_or(0);
+    let hi = taps.iter().map(|t| t.os.end).max().unwrap_or(0);
+    let mut o0 = lo;
+    while o0 < hi {
+        let width = (hi - o0).min(8);
+        // Lane c of gs[s] is g[c, o0 + s].
+        let gs = if o0 + 8 <= n {
+            transpose8(std::array::from_fn(|c| _mm256_loadu_ps(gp.add(c * n + o0))))
+        } else {
+            std::array::from_fn(|s| {
+                let o = (o0 + s).min(n - 1);
+                _mm256_setr_ps(
+                    *gp.add(o),
+                    *gp.add(n + o),
+                    *gp.add(2 * n + o),
+                    *gp.add(3 * n + o),
+                    *gp.add(4 * n + o),
+                    *gp.add(5 * n + o),
+                    *gp.add(6 * n + o),
+                    *gp.add(7 * n + o),
+                )
+            })
+        };
+        for (s, &gv) in gs.iter().enumerate().take(width) {
+            let o = o0 + s;
+            let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(gv, _mm256_setzero_ps());
+            for (sum, tap) in sums.iter_mut().zip(taps) {
+                if !tap.os.contains(&o) {
+                    continue;
+                }
+                let xv = _mm256_set1_ps(*tap.xs.as_ptr().add((o - tap.os.start) * stride));
+                // mul then add (no FMA), as the scalar `*av += gv * xv`.
+                let next = _mm256_add_ps(*sum, _mm256_mul_ps(gv, xv));
+                *sum = _mm256_blendv_ps(next, *sum, zero);
+            }
+        }
+        o0 += width;
+    }
+    for (sum, lanes) in sums.iter().zip(acc.iter_mut()) {
+        _mm256_storeu_ps(lanes.as_mut_ptr(), *sum);
+    }
+}
+
+// ----- row_sums: dst[r] += Σ_o src[r, o] --------------------------------
+
+/// `dst[r] += src[r, 0] + src[r, 1] + … + src[r, n - 1]`, each row summed
+/// left to right from the element `Iterator::sum` folds from: bit for bit
+/// `dst[r] += row.iter().sum::<f32>()`, a conv's bias gradient. At AVX2
+/// eight rows run at once, their 8×8 blocks transposed in registers so
+/// that each lane carries one row's running sum; the row tail, and
+/// everything below AVX2, takes the scalar loop.
+pub(crate) fn row_sums(dst: &mut [f32], src: &[f32], n: usize) {
+    assert!(
+        dst.len().checked_mul(n).is_some_and(|len| len <= src.len()),
+        "row_sums: {} rows of {n} run past {} elements",
+        dst.len(),
+        src.len()
+    );
+    let done = match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_level() only reports levels the CPU supports, and
+        // the assert above covers every row the blocks read.
+        Level::Avx2 => unsafe { row_sums_avx2(dst, src, n) },
+        _ => 0,
+    };
+    for (r, d) in dst.iter_mut().enumerate().skip(done) {
+        *d += src[r * n..(r + 1) * n].iter().sum::<f32>();
+    }
+}
+
+/// Returns how many leading rows it wrote (a multiple of 8).
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 (dispatcher-checked) and `src.len() >=
+/// dst.len()·n`: each block reads `src[(r + i)·n + o .. + 8]` with
+/// `r + i < dst.len()` and `o + 8 <= n`, and the tail `src[(r + i)·n + o]`
+/// with `o < n`, all in bounds; `&mut dst` rules out aliasing.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_sums_avx2(dst: &mut [f32], src: &[f32], n: usize) -> usize {
+    use std::arch::x86_64::*;
+    let neutral: f32 = std::iter::empty::<f32>().sum();
+    let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
+    let mut r = 0;
+    while r + 8 <= dst.len() {
+        let mut acc = _mm256_set1_ps(neutral);
+        let mut o = 0;
+        while o + 8 <= n {
+            let cols = transpose8(std::array::from_fn(|i| {
+                _mm256_loadu_ps(sp.add((r + i) * n + o))
+            }));
+            for col in cols {
+                acc = _mm256_add_ps(acc, col);
+            }
+            o += 8;
+        }
+        let mut lanes = [0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            for oo in o..n {
+                *lane += *sp.add((r + i) * n + oo);
+            }
+        }
+        let sums = _mm256_loadu_ps(lanes.as_ptr());
+        _mm256_storeu_ps(dp.add(r), _mm256_add_ps(_mm256_loadu_ps(dp.add(r)), sums));
+        r += 8;
+    }
+    r
 }
 
 // ----- add_assign: a[j] += b[j] -----------------------------------------
@@ -722,34 +1193,181 @@ mod tests {
                     }
                 })
                 .collect();
-            let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos() * 3.0).collect();
-            let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
-            let mut want = c0.clone();
-            for i in 0..m {
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    if av != 0.0 {
-                        axpy_scalar(&mut want[i * n..(i + 1) * n], av, &b[p * n..(p + 1) * n]);
+            let b: Vec<f32> = (0..k * n + 2)
+                .map(|i| (i as f32 * 0.11).cos() * 3.0)
+                .collect();
+            // A contiguous `b`, and rows at uneven, overlapping offsets, as
+            // a conv's windows into its padded input are.
+            let table: Vec<usize> = (0..k).map(|p| p * n / 2 + p % 3).collect();
+            for rows in [
+                Rows::Strided {
+                    count: k,
+                    stride: n,
+                },
+                Rows::Table(&table),
+            ] {
+                let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
+                let mut want = c0.clone();
+                for i in 0..m {
+                    for p in 0..k {
+                        let (av, start) = (a[i * k + p], rows.start(p));
+                        if av != 0.0 {
+                            axpy_scalar(&mut want[i * n..(i + 1) * n], av, &b[start..start + n]);
+                        }
+                    }
+                }
+                let mut got = c0.clone();
+                let (mt, nt) = mm_tiles(&mut got, &a, &b, rows, m, n);
+                assert!(mt % TILE_M == 0 && mt <= m && nt % TILE_N == 0 && nt <= n);
+                for i in 0..m {
+                    for j in 0..n {
+                        let tiled = i < mt && j < nt;
+                        let expect = if tiled {
+                            want[i * n + j]
+                        } else {
+                            c0[i * n + j]
+                        };
+                        assert_eq!(
+                            got[i * n + j].to_bits(),
+                            expect.to_bits(),
+                            "({m}x{k}x{n}) {rows:?} element ({i}, {j}), tiled: {tiled}"
+                        );
                     }
                 }
             }
-            let mut got = c0.clone();
-            let (mt, nt) = mm_tiles(&mut got, &a, &b, m, k, n);
-            assert!(mt % TILE_M == 0 && mt <= m && nt % TILE_N == 0 && nt <= n);
-            for i in 0..m {
-                for j in 0..n {
-                    let tiled = i < mt && j < nt;
-                    let expect = if tiled {
-                        want[i * n + j]
-                    } else {
-                        c0[i * n + j]
-                    };
-                    assert_eq!(
-                        got[i * n + j].to_bits(),
-                        expect.to_bits(),
-                        "({m}x{k}x{n}) element ({i}, {j}), tiled: {tiled}"
-                    );
+        }
+    }
+
+    #[test]
+    fn transpose_rows_moves_every_window_at_all_levels() {
+        // Full 8×8 blocks plus both edges, from overlapping windows.
+        for (pn, n) in [(0, 5), (3, 0), (1, 1), (8, 8), (9, 17), (16, 24), (13, 7)] {
+            let src: Vec<f32> = (0..pn * 3 + n + 1).map(|i| i as f32 - 0.5).collect();
+            let table: Vec<usize> = (0..pn).map(|p| p * 3 + p % 2).collect();
+            let strided = Rows::Strided {
+                count: pn,
+                stride: 3,
+            };
+            for (l, rows) in levels()
+                .into_iter()
+                .flat_map(|l| [(l, strided), (l, Rows::Table(&table))])
+            {
+                force_level(Some(l));
+                let mut out = vec![f32::NAN; 3];
+                transpose_rows(&mut out, &src, rows, n);
+                force_level(None);
+                assert_eq!(out.len(), pn * n, "level {l:?}");
+                for o in 0..n {
+                    for p in 0..pn {
+                        assert_eq!(
+                            out[o * pn + p].to_bits(),
+                            src[rows.start(p) + o].to_bits(),
+                            "level {l:?} {rows:?} ({pn}x{n}) at ({o}, {p})"
+                        );
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_taps_all_levels_bitwise_equal_with_tail() {
+        let w = [0.75f32, -1.5, 0.0, 2.25];
+        for (n, d) in [(0usize, 1usize), (5, 1), (8, 2), (17, 1), (33, 4)] {
+            let x: Vec<f32> = (0..n + 3 * d).map(|i| (i as f32 * 0.7).sin()).collect();
+            let base: Vec<f32> = (0..n).map(|i| i as f32 * 0.1 - 1.0).collect();
+            let mut want = base.clone();
+            conv_taps_scalar(&mut want, &x, &w, d);
+            for l in levels() {
+                force_level(Some(l));
+                let mut got = base.clone();
+                conv_taps(&mut got, &x, &w, d);
+                force_level(None);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "level {l:?} n={n} d={d}");
+            }
+        }
+    }
+
+    #[test]
+    fn conv_weight_lanes_skip_zeros_like_the_scalar_loop() {
+        // Zero and -0 gradients meet infinite inputs: a skipped lane stays
+        // finite. Taps cover full 8-position blocks, a partial last block
+        // and ranges that start and end inside a block.
+        for (n, stride) in [(1usize, 1usize), (8, 1), (13, 2), (64, 1), (21, 3)] {
+            let g: Vec<f32> = (0..WEIGHT_LANES * n)
+                .map(|i| match i % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (i as f32 * 0.3).cos(),
+                })
+                .collect();
+            let x: Vec<f32> = (0..n * stride + 4)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        f32::INFINITY
+                    } else {
+                        i as f32 - 2.0
+                    }
+                })
+                .collect();
+            let ranges = [0..n, 1.min(n)..n, 0..n.saturating_sub(2), n / 3..n / 2];
+            let taps: Vec<Tap> = ranges
+                .iter()
+                .enumerate()
+                .map(|(q, os)| Tap {
+                    os: os.clone(),
+                    xs: &x[q..],
+                })
+                .collect();
+            let acc0: Vec<[f32; WEIGHT_LANES]> = (0..WEIGHT_TAPS)
+                .map(|q| std::array::from_fn(|c| (q * 8 + c) as f32 * 0.25))
+                .collect();
+            let mut want = acc0.clone();
+            conv_weight_lanes_scalar(&mut want, &g, WEIGHT_LANES, n, &taps, stride);
+            for l in levels() {
+                force_level(Some(l));
+                let mut got = acc0.clone();
+                conv_weight_lanes(&mut got, &g, WEIGHT_LANES, n, &taps, stride);
+                force_level(None);
+                for (gq, wq) in got.iter().zip(&want) {
+                    for (gv, wv) in gq.iter().zip(wq) {
+                        assert!(
+                            gv.to_bits() == wv.to_bits() || (gv.is_nan() && wv.is_nan()),
+                            "level {l:?} n={n} stride={stride}: {gv} vs {wv}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sums_match_iterator_sum_at_all_levels() {
+        for (r, n) in [(0usize, 4usize), (9, 0), (8, 3), (8, 16), (17, 9), (16, 64)] {
+            // Every third row is all -0, whose sum is -0 only because the
+            // sum's neutral element is -0.
+            let src: Vec<f32> = (0..r * n)
+                .map(|i| match (i / n.max(1) % 3, i % 7) {
+                    (2, _) | (_, 0) => -0.0,
+                    _ => (i as f32).sin() * 1e3,
+                })
+                .collect();
+            // A -0 bias stays -0 after adding a -0 sum.
+            let d0: Vec<f32> = (0..r)
+                .map(|i| if i % 2 == 0 { -0.0 } else { 1.5 })
+                .collect();
+            let mut want = d0.clone();
+            for (i, d) in want.iter_mut().enumerate() {
+                *d += src[i * n..(i + 1) * n].iter().sum::<f32>();
+            }
+            for l in levels() {
+                force_level(Some(l));
+                let mut got = d0.clone();
+                row_sums(&mut got, &src, n);
+                force_level(None);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "level {l:?} {r}x{n}");
             }
         }
     }
