@@ -1,7 +1,11 @@
 //! Criterion micro-benchmarks for the computational kernels behind the
 //! experiments: augmentation bank, line-chart rasterization, TS-encoder
-//! forward/backward, geodesic mixup + contrastive losses, the ROCKET
-//! transform, and DTW.
+//! forward/backward, its conv and GELU layers at the pre-training shape,
+//! geodesic mixup + contrastive losses, the ROCKET transform, and DTW.
+//!
+//! Every row runs its kernels at the SIMD level the host CPU supports
+//! (`aimts_tensor::simd::active_level()`, AVX-512 → AVX2 → SSE2 →
+//! scalar), so timings compare only between runs at the same level.
 
 use aimts::losses::{inter_prototype_loss, series_image_naive};
 use aimts::mixup::geodesic_mixup;
@@ -16,6 +20,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// Rows in one micro-batch of the `pretrain` workload of `BENCHMARK.json`.
+const ROWS: usize = 200;
 
 fn series(n: usize) -> Vec<f32> {
     (0..n).map(|i| (i as f32 * 0.17).sin()).collect()
@@ -115,7 +122,6 @@ fn bench_conv_pretrain_shapes(c: &mut Criterion) {
     use aimts_bench::runners::bench_aimts_config;
     use aimts_tensor::ops::Conv1dSpec;
 
-    const ROWS: usize = 200;
     let cfg = bench_aimts_config();
     let (hidden, t) = (cfg.hidden, cfg.pretrain_len);
     let mut layers = vec![(format!("input_1to{hidden}"), 1, hidden, 1)];
@@ -151,6 +157,31 @@ fn bench_conv_pretrain_shapes(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// GELU at the shape of the block activations in `pre-training`, the
+/// input shape of `conv1d_pretrain`'s block rows ([200, 16, 64]): a
+/// `no_grad` forward, and a forward + backward with the input tracked,
+/// arena enabled as in training. Its tanh term runs 16 lanes wide at
+/// AVX-512 and 8 at AVX2, whichever the host has.
+fn bench_gelu_pretrain_shape(c: &mut Criterion) {
+    use aimts_bench::runners::bench_aimts_config;
+
+    let cfg = bench_aimts_config();
+    let (hidden, t) = (cfg.hidden, cfg.pretrain_len);
+    let _arena = aimts_tensor::arena::enable();
+    let x = Tensor::randn(&[ROWS, hidden, t], 1).requires_grad();
+    let mut g = c.benchmark_group("gelu_pretrain");
+    g.bench_function(format!("r{ROWS}_c{hidden}_l{t}_fwd"), |bch| {
+        bch.iter(|| aimts_tensor::no_grad(|| black_box(x.gelu())))
+    });
+    g.bench_function(format!("r{ROWS}_c{hidden}_l{t}_fwd_bwd"), |bch| {
+        bch.iter(|| {
+            x.gelu().sum_all().backward();
+            x.zero_grad();
+        })
+    });
     g.finish();
 }
 
@@ -203,6 +234,7 @@ criterion_group!(
     bench_imaging,
     bench_conv_lowerings,
     bench_conv_pretrain_shapes,
+    bench_gelu_pretrain_shape,
     bench_encoder,
     bench_losses,
     bench_classical

@@ -315,8 +315,6 @@ fn conv1d_backward_im2col(
 // The reference suite
 // ---------------------------------------------------------------------------
 
-const LEVELS: [simd::Level; 3] = [simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2];
-
 /// Run `f` with the dispatch level pinned, restoring detection after.
 fn at_level<R>(level: simd::Level, f: impl FnOnce() -> R) -> R {
     simd::force_level(Some(level));
@@ -437,7 +435,7 @@ impl Problem {
         ];
         for (name, ref_fwd, ref_bwd, new_fwd, new_bwd) in pairs {
             let want = at_level(simd::Level::Scalar, || self.run(ref_fwd, ref_bwd));
-            for level in LEVELS {
+            for level in simd::host_levels() {
                 let got = at_level(level, || self.run(new_fwd, new_bwd));
                 for (i, what) in ["forward", "gx", "gw", "gb"].iter().enumerate() {
                     assert_eq!(
@@ -552,7 +550,7 @@ fn blocked_transpose2d_matches_naive_loop() {
             })
             .collect();
         let want = transpose2d(&x, r, c);
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, || crate::ops::matmul::transpose2d(&x, r, c));
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{r}x{c} at {level:?}");

@@ -18,9 +18,11 @@ pub(crate) fn mm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
 
 /// `c += a (m×k) · b (k×n)`, where row `p` of `b` is
 /// `b[rows.start(p)..][..n]` and `k = rows.len()`. At AVX2 the full 4×16
-/// tiles of `c` run in registers ([`simd::mm_tiles`]); the row and column
-/// tails, and all of `c` at SSE2 or scalar, take the ikj loop. Both are
-/// bit-identical to the scalar ikj loop (see `crate::simd`).
+/// tiles of `c` run in registers ([`simd::mm_tiles`]), and at AVX-512 its
+/// 4×32 tiles, with a 4×16 tile for 16 columns left over; the tails past
+/// the last 4 rows and 16 columns, and all of `c` at SSE2 or scalar, take
+/// the ikj loop. All are bit-identical to the scalar ikj loop (see
+/// `crate::simd`).
 pub(crate) fn mm_acc_rows(c: &mut [f32], a: &[f32], b: &[f32], rows: Rows, m: usize, n: usize) {
     debug_assert_eq!(a.len(), m * rows.len());
     debug_assert_eq!(c.len(), m * n);
@@ -82,7 +84,7 @@ fn bmm(a: &[f32], b: &[f32], bsz: usize, m: usize, k: usize, n: usize) -> Vec<f3
 }
 
 /// Transpose an `r×c` row-major matrix (arena-backed scratch), in 8×8
-/// register blocks at AVX2 (see [`simd::transpose_rows`]).
+/// register blocks at AVX2 and AVX-512 (see [`simd::transpose_rows`]).
 pub(crate) fn transpose2d(x: &[f32], r: usize, c: usize) -> Vec<f32> {
     let mut out = arena::take(r * c);
     let rows = Rows::Strided {

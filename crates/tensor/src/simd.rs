@@ -17,18 +17,21 @@
 //!
 //! ## Dispatch policy
 //!
-//! The widest supported level is detected once per process
-//! (`is_x86_feature_detected!`) and cached; on non-x86_64 targets the
-//! scalar path is the only level. Tests and benches can pin a narrower
-//! level per thread with [`force_level`] to compare paths against each
-//! other on the same machine.
+//! The widest supported level, AVX-512 → AVX2 → SSE2 → scalar, is detected
+//! once per process (`is_x86_feature_detected!`) and cached; on non-x86_64
+//! targets the scalar path is the only level. Two kernels have a 16-lane
+//! AVX-512 body, the matmul tiles ([`mm_tiles`]) and [`tanh`]; every other
+//! kernel runs its AVX2 body at [`Level::Avx512`]. Tests and benches can
+//! pin a narrower level per thread with [`force_level`] to compare paths
+//! against each other on the same machine, over [`host_levels`].
 
 use std::ops::Range;
 #[cfg(target_arch = "x86_64")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Instruction-set level a kernel may run at.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Instruction-set level a kernel may run at, narrowest first: a level
+/// orders above every level it runs on top of.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// Plain Rust loops — the oracle all other paths must match bitwise.
     Scalar,
@@ -36,6 +39,10 @@ pub enum Level {
     Sse2,
     /// 8-lane `__m256` paths.
     Avx2,
+    /// 16-lane `__m512` paths (AVX-512F) for [`mm_tiles`] and [`tanh`];
+    /// every other kernel takes its AVX2 path, so the level is detected
+    /// only where AVX2 is too.
+    Avx512,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -46,14 +53,19 @@ fn detect() -> Level {
     match DETECTED.load(Ordering::Relaxed) {
         2 => Level::Sse2,
         3 => Level::Avx2,
+        4 => Level::Avx512,
         _ => {
-            let l = if std::arch::is_x86_feature_detected!("avx2") {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let l = if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+                Level::Avx512
+            } else if avx2 {
                 Level::Avx2
             } else {
                 // SSE2 is part of the x86_64 baseline.
                 Level::Sse2
             };
-            DETECTED.store(if l == Level::Avx2 { 3 } else { 2 }, Ordering::Relaxed);
+            // Codes 2..=4, so that 0 stays "not yet probed".
+            DETECTED.store(l as u8 + 1, Ordering::Relaxed);
             l
         }
     }
@@ -81,18 +93,20 @@ pub fn force_level(level: Option<Level>) {
 pub fn active_level() -> Level {
     let max = detect();
     match FORCED.with(|f| f.get()) {
-        Some(l) if rank(l) <= rank(max) => l,
-        Some(_) => max,
+        Some(l) => l.min(max),
         None => max,
     }
 }
 
-fn rank(l: Level) -> u8 {
-    match l {
-        Level::Scalar => 0,
-        Level::Sse2 => 1,
-        Level::Avx2 => 2,
-    }
+/// The levels this CPU supports, narrowest first: pinning any of them with
+/// [`force_level`] runs that level's kernels rather than a clamped copy of
+/// a narrower one.
+#[doc(hidden)]
+pub fn host_levels() -> impl Iterator<Item = Level> {
+    let max = detect();
+    [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512]
+        .into_iter()
+        .filter(move |&l| l <= max)
 }
 
 // ----- axpy: c[j] += s * b[j] -------------------------------------------
@@ -105,7 +119,7 @@ pub fn axpy(c: &mut [f32], s: f32, b: &[f32]) {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports.
-        Level::Avx2 => unsafe { axpy_avx2(c, s, b) },
+        Level::Avx2 | Level::Avx512 => unsafe { axpy_avx2(c, s, b) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
         Level::Sse2 => unsafe { axpy_sse2(c, s, b) },
@@ -174,8 +188,12 @@ unsafe fn axpy_sse2(c: &mut [f32], s: f32, b: &[f32]) {
 
 /// Rows of one [`mm_tiles`] register tile.
 const TILE_M: usize = 4;
-/// Columns of one [`mm_tiles`] register tile (two 8-lane registers).
+/// Columns of one AVX2 [`mm_tiles`] register tile (two 8-lane registers),
+/// the granularity the tiles report their columns at.
 const TILE_N: usize = 16;
+/// Columns of one AVX-512 [`mm_tiles`] register tile (two 16-lane
+/// registers).
+const TILE_N_512: usize = 32;
 
 /// Where each row of a matrix operand starts in its buffer, for
 /// [`mm_tiles`] and [`transpose_rows`]. A contiguous row-major matrix is
@@ -218,17 +236,19 @@ impl Rows<'_> {
 }
 
 /// `c += a (m×k) · b (k×n)` over the full 4-row × 16-column tiles of `c`,
-/// each held in eight AVX2 registers for the whole `k` sweep. Row `p` of
-/// `b` is `b[rows.start(p)..][..n]` and `k = rows.len()`, so a stride-1
-/// conv reads im2col's column matrix from its padded input without
-/// building it. Returns how many leading rows and columns the tiles
-/// covered: `(0, 0)` below AVX2, where the caller's ikj loop does all the
-/// work, as it does for the tails.
+/// each held in eight AVX2 registers for the whole `k` sweep. At AVX-512
+/// the tiles are 4 × 32, in eight 16-lane registers, and the last 16
+/// columns of an `n` that is an odd number of 16s take the AVX2 tile.
+/// Row `p` of `b` is `b[rows.start(p)..][..n]` and `k = rows.len()`, so a
+/// stride-1 conv reads im2col's column matrix from its padded input
+/// without building it. Returns how many leading rows and columns the
+/// tiles covered, a multiple of 4 and of 16: `(0, 0)` below AVX2, where
+/// the caller's ikj loop does all the work, as it does for the tails.
 ///
 /// Each element still sees `c + a[i, p]·b[p, j]` as a separate multiply
 /// then add, in ascending `p`, skipping exactly the `(i, p)` whose
 /// `a[i, p]` is zero: the operation sequence of the ikj axpy loop, so the
-/// result is bit-identical to it.
+/// result is bit-identical to it at every tile width.
 pub(crate) fn mm_tiles(
     c: &mut [f32],
     a: &[f32],
@@ -256,8 +276,24 @@ pub(crate) fn mm_tiles(
             // both row maps are pure.
             unsafe {
                 match rows {
-                    Rows::Strided { stride, .. } => mm_tiles_avx2(c, a, b, k, |p| p * stride, m, n),
-                    Rows::Table(table) => mm_tiles_avx2(c, a, b, k, |p| table[p], m, n),
+                    Rows::Strided { stride, .. } => {
+                        mm_tiles_avx2(c, a, b, k, |p| p * stride, m, n, 0);
+                    }
+                    Rows::Table(table) => mm_tiles_avx2(c, a, b, k, |p| table[p], m, n, 0),
+                }
+            }
+            (mt, nt)
+        }
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => {
+            // SAFETY: as for AVX2 above; the level implies AVX2 as well,
+            // which the 16-column remainder runs.
+            unsafe {
+                match rows {
+                    Rows::Strided { stride, .. } => {
+                        mm_tiles_avx512(c, a, b, k, |p| p * stride, m, n)
+                    }
+                    Rows::Table(table) => mm_tiles_avx512(c, a, b, k, |p| table[p], m, n),
                 }
             }
             (mt, nt)
@@ -266,17 +302,25 @@ pub(crate) fn mm_tiles(
     }
 }
 
+/// The AVX2 tiles of [`mm_tiles`] whose columns start at or after `j0`, a
+/// multiple of 16.
+///
 /// # Safety
 ///
 /// Caller must guarantee AVX2 (dispatcher-checked), `a` and `c` of at
 /// least `m·k` and `m·n` elements, and a `start` that returns the same
 /// value on every call, with `start(p) + n <= b.len()` for every `p < k`.
-/// For the tiled `mt = ⌊m/4⌋·4` rows and `nt = ⌊n/16⌋·16` columns every
-/// access is then in bounds: `a[(i + r)·k + p]` with `i + r < mt`,
-/// `p < k`; `b[start(p) + j .. + 16]` and `c[(i + r)·n + j .. + 16]` with
-/// `j + 16 <= nt`. `&mut c` rules out aliasing with `a` and `b`.
+/// For the tiled `mt = ⌊m/4⌋·4` rows and the columns from `j0` to `nt =
+/// ⌊n/16⌋·16` every access is then in bounds: `a[(i + r)·k + p]` with
+/// `i + r < mt`, `p < k`; `b[start(p) + j .. + 16]` and `c[(i + r)·n + j
+/// .. + 16]` with `j + 16 <= nt`. `&mut c` rules out aliasing with `a` and
+/// `b`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the operands of `mm_tiles` plus the first column, each named in the safety contract"
+)]
 unsafe fn mm_tiles_avx2(
     c: &mut [f32],
     a: &[f32],
@@ -285,11 +329,12 @@ unsafe fn mm_tiles_avx2(
     start: impl Fn(usize) -> usize,
     m: usize,
     n: usize,
+    j0: usize,
 ) {
     use std::arch::x86_64::*;
     let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
     for i in (0..m / TILE_M * TILE_M).step_by(TILE_M) {
-        for j in (0..n / TILE_N * TILE_N).step_by(TILE_N) {
+        for j in (j0..n / TILE_N * TILE_N).step_by(TILE_N) {
             let mut acc = [[_mm256_setzero_ps(); 2]; TILE_M];
             for (r, row) in acc.iter_mut().enumerate() {
                 let cr = cp.add((i + r) * n + j);
@@ -318,6 +363,62 @@ unsafe fn mm_tiles_avx2(
     }
 }
 
+/// [`mm_tiles_avx2`]'s tile at twice the width: 4 rows × 32 columns in
+/// eight AVX-512 registers, with the same per-element multiply then add
+/// and the same zero skip. The columns past the last full 32, when 16
+/// remain, take the AVX2 tile.
+///
+/// # Safety
+///
+/// As [`mm_tiles_avx2`] with `j0 = 0`, plus AVX-512F (dispatcher-checked):
+/// the 32-column tiles read `b[start(p) + j .. + 32]` and write `c[(i +
+/// r)·n + j .. + 32]` only with `j + 32 <= ⌊n/32⌋·32 <= n`, and the AVX2
+/// call covers the columns from there to `⌊n/16⌋·16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2")]
+unsafe fn mm_tiles_avx512(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    start: impl Fn(usize) -> usize,
+    m: usize,
+    n: usize,
+) {
+    use std::arch::x86_64::*;
+    let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let wide = n / TILE_N_512 * TILE_N_512;
+    for i in (0..m / TILE_M * TILE_M).step_by(TILE_M) {
+        for j in (0..wide).step_by(TILE_N_512) {
+            let mut acc = [[_mm512_setzero_ps(); 2]; TILE_M];
+            for (r, row) in acc.iter_mut().enumerate() {
+                let cr = cp.add((i + r) * n + j);
+                *row = [_mm512_loadu_ps(cr), _mm512_loadu_ps(cr.add(16))];
+            }
+            for p in 0..k {
+                let br = bp.add(start(p) + j);
+                let (b0, b1) = (_mm512_loadu_ps(br), _mm512_loadu_ps(br.add(16)));
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = *ap.add((i + r) * k + p);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    // mul then add (no FMA), as in `axpy_avx2`.
+                    let vs = _mm512_set1_ps(av);
+                    row[0] = _mm512_add_ps(row[0], _mm512_mul_ps(vs, b0));
+                    row[1] = _mm512_add_ps(row[1], _mm512_mul_ps(vs, b1));
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                let cr = cp.add((i + r) * n + j);
+                _mm512_storeu_ps(cr, row[0]);
+                _mm512_storeu_ps(cr.add(16), row[1]);
+            }
+        }
+    }
+    mm_tiles_avx2(c, a, b, k, start, m, n, wide);
+}
+
 // ----- transpose_rows: out[o, p] = src[rows.start(p) + o] ---------------
 
 /// Replace `out` with the `n × P` matrix (`P = rows.len()`) whose column
@@ -343,7 +444,7 @@ pub(crate) fn transpose_rows(out: &mut Vec<f32>, src: &[f32], rows: Rows, n: usi
     let dst = &mut out.spare_capacity_mut()[..len];
     let (pb, ob) = match active_level() {
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => {
+        Level::Avx2 | Level::Avx512 => {
             // SAFETY: active_level() only reports levels the CPU supports;
             // the assert above covers every window the blocks read, `dst`
             // holds all `P·n` elements they write, and both row maps are
@@ -478,7 +579,7 @@ pub(crate) fn conv_taps(out: &mut [f32], x: &[f32], w: &[f32], d: usize) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports, and
         // the assert above covers every tap the blocks read.
-        Level::Avx2 => unsafe { conv_taps_avx2(out, x, w, d) },
+        Level::Avx2 | Level::Avx512 => unsafe { conv_taps_avx2(out, x, w, d) },
         _ => 0,
     };
     conv_taps_scalar(&mut out[done..], &x[done..], w, d);
@@ -574,7 +675,7 @@ pub(crate) fn conv_weight_lanes(
         // SAFETY: active_level() only reports levels the CPU supports, and
         // the assert above covers every gradient and input the kernel reads
         // for a full block of channels.
-        Level::Avx2 if channels == WEIGHT_LANES => unsafe {
+        Level::Avx2 | Level::Avx512 if channels == WEIGHT_LANES => unsafe {
             conv_weight_lanes_avx2(acc, g, n, taps, stride)
         },
         _ => conv_weight_lanes_scalar(acc, g, channels, n, taps, stride),
@@ -688,7 +789,7 @@ pub(crate) fn row_sums(dst: &mut [f32], src: &[f32], n: usize) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports, and
         // the assert above covers every row the blocks read.
-        Level::Avx2 => unsafe { row_sums_avx2(dst, src, n) },
+        Level::Avx2 | Level::Avx512 => unsafe { row_sums_avx2(dst, src, n) },
         _ => 0,
     };
     for (r, d) in dst.iter_mut().enumerate().skip(done) {
@@ -747,7 +848,7 @@ pub fn add_assign(a: &mut [f32], b: &[f32]) {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports.
-        Level::Avx2 => unsafe { add_assign_avx2(a, b) },
+        Level::Avx2 | Level::Avx512 => unsafe { add_assign_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
         Level::Sse2 => unsafe { add_assign_sse2(a, b) },
@@ -811,7 +912,7 @@ pub fn scale_assign(a: &mut [f32], s: f32) {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports.
-        Level::Avx2 => unsafe { scale_assign_avx2(a, s) },
+        Level::Avx2 | Level::Avx512 => unsafe { scale_assign_avx2(a, s) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
         Level::Sse2 => unsafe { scale_assign_sse2(a, s) },
@@ -892,17 +993,20 @@ const TINY: f32 = 1.0e-30;
 /// same constants, the same operations in the same order, one rounding
 /// each. It equals that `tanhf` bit for bit on all 2^32 inputs (a NaN
 /// only as a NaN), so GELU gives the same bits whatever the host libm.
-/// The AVX2 path evaluates every branch for 8 lanes with separate mul,
-/// add, sub and div, then picks each lane's branch with blends; SSE2 runs
-/// the scalar port. `tests/simd_oracle.rs` pins a recorded glibc table at
-/// every level and, in an ignored test, compares all 2^32 inputs with the
-/// host's `f32::tanh`.
+/// The AVX2 and AVX-512 paths evaluate every branch for 8 or 16 lanes with
+/// separate mul, add, sub and div, then pick each lane's branch with
+/// blends; SSE2 runs the scalar port. `tests/simd_oracle.rs` pins a
+/// recorded glibc table at every level and, in an ignored test, compares
+/// all 2^32 inputs with the host's `f32::tanh`.
 #[inline]
 pub fn tanh(a: &mut [f32]) {
     match active_level() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_level() only reports levels the CPU supports.
         Level::Avx2 => unsafe { tanh_avx2(a) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_level() only reports levels the CPU supports.
+        Level::Avx512 => unsafe { tanh_avx512(a) },
         _ => tanh_scalar(a),
     }
 }
@@ -1150,16 +1254,177 @@ fn tanh8_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
     _mm256_blendv_ps(z, nonfinite, ix_above(0x7f7f_ffff))
 }
 
+/// # Safety
+///
+/// Caller must guarantee AVX-512F (dispatcher-checked). Full blocks load
+/// and store `a[i .. + 16]` with `i + 16 <= n = a.len()`; the last partial
+/// block loads and stores only the lanes its mask enables, `a[i .. n]`, so
+/// every access stays inside the single `&mut` slice.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_avx512(a: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let n = a.len();
+    let ap = a.as_mut_ptr();
+    let mut i = 0;
+    while i + 16 <= n {
+        _mm512_storeu_ps(ap.add(i), tanh16_avx512(_mm512_loadu_ps(ap.add(i))));
+        i += 16;
+    }
+    if i < n {
+        let tail: __mmask16 = (1 << (n - i)) - 1;
+        let x = _mm512_maskz_loadu_ps(tail, ap.add(i));
+        _mm512_mask_storeu_ps(ap.add(i), tail, tanh16_avx512(x));
+    }
+}
+
+/// [`tanh8_avx2`] on 16 lanes, operation for operation: the compares give
+/// `__mmask16` masks, each `blendv` becomes a mask blend, and the k = 0
+/// clear a zero-masking move. Only AVX-512F instructions, so the float
+/// xor and or go through the integer forms. When no lane is ±inf or NaN
+/// the `1/x` those lanes need is not computed at all.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX-512F (dispatcher-checked); the kernel
+/// touches no memory, only its register argument.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tanh16_avx512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let abs_mask = _mm512_set1_epi32(0x7fff_ffff);
+    let jx = _mm512_castps_si512(x);
+    let ix = _mm512_and_si512(jx, abs_mask);
+    let sign = _mm512_andnot_si512(abs_mask, jx);
+    let ix_above = |bits: i32| _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(bits));
+    let xor =
+        |a: __m512, b: __m512i| _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(a), b));
+
+    // u = 2|x| where |x| >= 1, else -2|x|.
+    let ge1 = ix_above(0x3f7f_ffff);
+    let ax = _mm512_castsi512_ps(ix);
+    let u = _mm512_mask_blend_ps(
+        ge1,
+        _mm512_mul_ps(_mm512_set1_ps(-2.0), ax),
+        _mm512_mul_ps(_mm512_set1_ps(2.0), ax),
+    );
+
+    // expm1(u): u is negative exactly where |x| < 1.
+    let hu = _mm512_and_si512(_mm512_castps_si512(u), abs_mask);
+    let half = _mm512_mask_blend_ps(ge1, _mm512_set1_ps(-0.5), _mm512_set1_ps(0.5));
+    let k_trunc = _mm512_cvttps_epi32(_mm512_add_ps(
+        _mm512_mul_ps(_mm512_set1_ps(INVLN2), u),
+        half,
+    ));
+    // k = -1 where |u| < 1.5·ln2, then k = 0 where |u| <= 0.5·ln2.
+    let near = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3f85_1592), hu);
+    let k = _mm512_mask_blend_epi32(near, k_trunc, _mm512_set1_epi32(-1));
+    let k = _mm512_maskz_mov_epi32(
+        _mm512_cmpgt_epi32_mask(hu, _mm512_set1_epi32(0x3eb1_7218)),
+        k,
+    );
+    let t = _mm512_cvtepi32_ps(k);
+    let hi = _mm512_sub_ps(u, _mm512_mul_ps(t, _mm512_set1_ps(LN2_HI)));
+    let lo = _mm512_mul_ps(t, _mm512_set1_ps(LN2_LO));
+    let r = _mm512_sub_ps(hi, lo);
+    let c = _mm512_sub_ps(_mm512_sub_ps(hi, r), lo);
+
+    let hfx = _mm512_mul_ps(_mm512_set1_ps(0.5), r);
+    let hxs = _mm512_mul_ps(r, hfx);
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let mut p = _mm512_mul_ps(hxs, _mm512_set1_ps(q5));
+    for q in [q4, q3, q2, q1] {
+        p = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(q), p));
+    }
+    let r1 = _mm512_add_ps(_mm512_set1_ps(1.0), p);
+    let t = _mm512_sub_ps(_mm512_set1_ps(3.0), _mm512_mul_ps(r1, hfx));
+    let e = _mm512_mul_ps(
+        hxs,
+        _mm512_div_ps(
+            _mm512_sub_ps(r1, t),
+            _mm512_sub_ps(_mm512_set1_ps(6.0), _mm512_mul_ps(r, t)),
+        ),
+    );
+    // One candidate result per branch of `expm1f`, selected below.
+    let k0 = _mm512_sub_ps(r, _mm512_sub_ps(_mm512_mul_ps(r, e), hxs));
+    let e = _mm512_sub_ps(_mm512_sub_ps(_mm512_mul_ps(r, _mm512_sub_ps(e, c)), c), hxs);
+    let k_m1 = _mm512_sub_ps(
+        _mm512_mul_ps(_mm512_set1_ps(0.5), _mm512_sub_ps(r, e)),
+        _mm512_set1_ps(0.5),
+    );
+    let k_exp = _mm512_slli_epi32::<23>(k);
+    let scale = |y: __m512| _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(y), k_exp));
+    let one = _mm512_set1_ps(1.0);
+    // k <= -2 or k > 56.
+    let k_far = _mm512_sub_ps(scale(_mm512_sub_ps(one, _mm512_sub_ps(e, r))), one);
+    // 3 <= k < 23, with t = 1 - 2^-k.
+    let t_mid = _mm512_castsi512_ps(_mm512_sub_epi32(
+        _mm512_set1_epi32(0x3f80_0000),
+        _mm512_srlv_epi32(_mm512_set1_epi32(0x0100_0000), k),
+    ));
+    let k_mid = scale(_mm512_sub_ps(t_mid, _mm512_sub_ps(e, r)));
+    // 23 <= k <= 56, with t = 2^-k.
+    let t_high = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(
+        _mm512_set1_epi32(0x7f),
+        k,
+    )));
+    let k_high = scale(_mm512_add_ps(
+        _mm512_sub_ps(r, _mm512_add_ps(e, t_high)),
+        one,
+    ));
+    // |u| < 2^-25.
+    let huge_u = _mm512_add_ps(_mm512_set1_ps(HUGE), u);
+    let tiny_u = _mm512_sub_ps(
+        u,
+        _mm512_sub_ps(huge_u, _mm512_add_ps(_mm512_set1_ps(HUGE), u)),
+    );
+    let k_is = |v: i32| _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(v));
+    let k_below = |v: i32| _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(v), k);
+    let k_above = |v: i32| _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(v));
+    let mut em = _mm512_mask_blend_ps(k_below(23), k_high, k_mid);
+    em = _mm512_mask_blend_ps(k_below(-1) | k_above(56), em, k_far);
+    em = _mm512_mask_blend_ps(k_is(-1), em, k_m1);
+    em = _mm512_mask_blend_ps(k_is(0), em, k0);
+    let u_tiny = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3300_0000), hu);
+    em = _mm512_mask_blend_ps(u_tiny, em, tiny_u);
+
+    // tanh from em = expm1(u): 1 - 2/(em + 2) where |x| >= 1, else
+    // -em/(em + 2); one division serves both.
+    let num = _mm512_mask_blend_ps(
+        ge1,
+        xor(em, _mm512_set1_epi32(i32::MIN)),
+        _mm512_set1_ps(2.0),
+    );
+    let q = _mm512_div_ps(num, _mm512_add_ps(em, _mm512_set1_ps(2.0)));
+    let z = _mm512_mask_blend_ps(ge1, q, _mm512_sub_ps(one, q));
+    let z = _mm512_mask_blend_ps(
+        ix_above(0x41af_ffff),
+        z,
+        _mm512_sub_ps(one, _mm512_set1_ps(TINY)),
+    );
+    let z = xor(z, sign);
+    let small = _mm512_mul_ps(x, _mm512_add_ps(one, x));
+    let z = _mm512_mask_blend_ps(
+        _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x2400_0000), ix),
+        z,
+        small,
+    );
+    let nonfinite = ix_above(0x7f7f_ffff);
+    if nonfinite == 0 {
+        return z;
+    }
+    // ±inf and NaN: 1/x + 1 or 1/x - 1, the second as 1/x + (-1).
+    let one_signed = _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(one), sign));
+    let inf_nan = _mm512_add_ps(_mm512_div_ps(one, x), one_signed);
+    _mm512_mask_blend_ps(nonfinite, z, inf_nan)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn levels() -> Vec<Level> {
-        let max = active_level();
-        [Level::Scalar, Level::Sse2, Level::Avx2]
-            .into_iter()
-            .filter(|l| rank(*l) <= rank(max))
-            .collect()
+        host_levels().collect()
     }
 
     #[test]
@@ -1181,6 +1446,56 @@ mod tests {
         }
     }
 
+    /// [`mm_tiles`] at every level against the scalar ikj loop, on a
+    /// contiguous `b` and on rows at uneven, overlapping offsets, as a
+    /// conv's windows into its padded input are: the tiles it reports
+    /// hold the ikj result (NaN positions only, their bits being
+    /// unspecified), and every other element of `c` is untouched.
+    fn check_mm_tiles(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) {
+        let table: Vec<usize> = (0..k).map(|p| p * n / 2 + p % 3).collect();
+        let canonical = |v: f32| if v.is_nan() { f32::NAN } else { v }.to_bits();
+        for rows in [
+            Rows::Strided {
+                count: k,
+                stride: n,
+            },
+            Rows::Table(&table),
+        ] {
+            let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
+            let mut want = c0.clone();
+            for i in 0..m {
+                for p in 0..k {
+                    let (av, start) = (a[i * k + p], rows.start(p));
+                    if av != 0.0 {
+                        axpy_scalar(&mut want[i * n..(i + 1) * n], av, &b[start..start + n]);
+                    }
+                }
+            }
+            for l in levels() {
+                let mut got = c0.clone();
+                force_level(Some(l));
+                let (mt, nt) = mm_tiles(&mut got, a, b, rows, m, n);
+                force_level(None);
+                assert!(mt % TILE_M == 0 && mt <= m && nt % TILE_N == 0 && nt <= n);
+                for i in 0..m {
+                    for j in 0..n {
+                        let tiled = i < mt && j < nt;
+                        let expect = if tiled {
+                            want[i * n + j]
+                        } else {
+                            c0[i * n + j]
+                        };
+                        assert_eq!(
+                            canonical(got[i * n + j]),
+                            canonical(expect),
+                            "{l:?} ({m}x{k}x{n}) {rows:?} element ({i}, {j}), tiled: {tiled}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn mm_tiles_match_scalar_ikj_on_their_block_only() {
         for (m, k, n) in [(4, 1, 16), (5, 7, 17), (8, 3, 40), (12, 16, 33), (3, 5, 64)] {
@@ -1196,45 +1511,36 @@ mod tests {
             let b: Vec<f32> = (0..k * n + 2)
                 .map(|i| (i as f32 * 0.11).cos() * 3.0)
                 .collect();
-            // A contiguous `b`, and rows at uneven, overlapping offsets, as
-            // a conv's windows into its padded input are.
-            let table: Vec<usize> = (0..k).map(|p| p * n / 2 + p % 3).collect();
-            for rows in [
-                Rows::Strided {
-                    count: k,
-                    stride: n,
-                },
-                Rows::Table(&table),
-            ] {
-                let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
-                let mut want = c0.clone();
-                for i in 0..m {
-                    for p in 0..k {
-                        let (av, start) = (a[i * k + p], rows.start(p));
-                        if av != 0.0 {
-                            axpy_scalar(&mut want[i * n..(i + 1) * n], av, &b[start..start + n]);
-                        }
+            check_mm_tiles(m, k, n, &a, &b);
+        }
+    }
+
+    /// The weight gradient's `C_in·K = 48` columns, and 80: 32-column
+    /// tiles plus a 16-column remainder. `a` is positive where it is not
+    /// zero and `b` holds +inf, so a zero `a[i, p]` that is multiplied in
+    /// rather than skipped turns an infinite sum into NaN.
+    #[test]
+    fn mm_tiles_512_bit_tiles_and_16_column_remainder_match_scalar_ikj() {
+        for (m, k, n) in [(16, 64, 48), (8, 3, 80)] {
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        1.5 + (i as f32 * 0.37).sin()
                     }
-                }
-                let mut got = c0.clone();
-                let (mt, nt) = mm_tiles(&mut got, &a, &b, rows, m, n);
-                assert!(mt % TILE_M == 0 && mt <= m && nt % TILE_N == 0 && nt <= n);
-                for i in 0..m {
-                    for j in 0..n {
-                        let tiled = i < mt && j < nt;
-                        let expect = if tiled {
-                            want[i * n + j]
-                        } else {
-                            c0[i * n + j]
-                        };
-                        assert_eq!(
-                            got[i * n + j].to_bits(),
-                            expect.to_bits(),
-                            "({m}x{k}x{n}) {rows:?} element ({i}, {j}), tiled: {tiled}"
-                        );
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n + 2)
+                .map(|i| {
+                    if i % 7 == 3 {
+                        f32::INFINITY
+                    } else {
+                        (i as f32 * 0.11).cos() * 3.0
                     }
-                }
-            }
+                })
+                .collect();
+            check_mm_tiles(m, k, n, &a, &b);
         }
     }
 
@@ -1434,12 +1740,65 @@ mod tests {
         assert!(v[6].is_nan());
     }
 
+    /// The 16-lane tanh body against the scalar port: each branch's fixed
+    /// points and the floats next to its thresholds (2^-55, 2^-26 and
+    /// 2^-25 on either side of `expm1f`'s `|u| < 2^-25`, 1, 22), then
+    /// every `k` boundary `(j + 0.5)·ln2 / 2` for j in 0..64, four floats
+    /// either side and both signs; cycled at lengths that leave no tail, a
+    /// masked tail, or both.
+    #[test]
+    fn tanh_16_lane_body_matches_the_scalar_port() {
+        let neighbours = |x: f32| (0..9).map(move |d| f32::from_bits(x.to_bits() + d - 4));
+        let fixed = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            22.0,
+            -1e4,
+        ];
+        let thresholds = [2f32.powi(-55), 2f32.powi(-26), 2f32.powi(-25), 1.0, 22.0];
+        let boundaries = (0..64).map(|j| (j as f32 + 0.5) * std::f32::consts::LN_2 / 2.0);
+        let inputs: Vec<f32> = fixed
+            .into_iter()
+            .chain(
+                thresholds
+                    .into_iter()
+                    .chain(boundaries)
+                    .flat_map(neighbours)
+                    .flat_map(|x| [x, -x]),
+            )
+            .collect();
+        for n in [15usize, 16, 17, 33, inputs.len()] {
+            for start in (0..inputs.len()).step_by(n) {
+                let base: Vec<f32> = (0..n).map(|i| inputs[(start + i) % inputs.len()]).collect();
+                let mut want = base.clone();
+                tanh_scalar(&mut want);
+                for l in levels() {
+                    force_level(Some(l));
+                    let mut got = base.clone();
+                    tanh(&mut got);
+                    force_level(None);
+                    for ((g, w), x) in got.iter().zip(&want).zip(&base) {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "tanh({x:e}) at {l:?}, n={n}: {g:e} vs {w:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn forced_level_is_clamped_to_detected_max() {
-        force_level(Some(Level::Avx2));
-        let got = active_level();
-        force_level(None);
-        assert!(rank(got) <= rank(detect()));
+        for l in [Level::Avx2, Level::Avx512] {
+            force_level(Some(l));
+            let got = active_level();
+            force_level(None);
+            assert!(got <= l && got <= detect(), "forced {l:?}, ran {got:?}");
+        }
     }
 
     #[test]

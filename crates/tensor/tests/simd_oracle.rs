@@ -6,9 +6,11 @@
 //! The matmul oracle holds NaN results to their positions only, since
 //! their sign and payload are unspecified (see [`bits_nan_canonical`]).
 //!
-//! Levels are pinned per thread with `simd::force_level`; a forced level
-//! the CPU lacks clamps to the detected maximum, so on a scalar-only host
-//! every comparison degenerates to scalar-vs-scalar and still passes.
+//! Levels are pinned per thread with `simd::force_level`, over the levels
+//! the host supports (`simd::host_levels`): a level the CPU lacks would
+//! clamp to the detected maximum and rerun it, so it is left out rather
+//! than compared again under another name. On a scalar-only host every
+//! comparison is scalar against scalar.
 //!
 //! `simd::tanh` has a second contract: it must round exactly as glibc
 //! 2.36's `tanhf` does. A table and a sweep digest recorded from that
@@ -18,9 +20,6 @@
 use aimts_tensor::ops::{Conv1dSpec, Conv2dSpec};
 use aimts_tensor::{simd, Tensor};
 use proptest::prelude::*;
-
-/// All levels worth comparing on this host (deduplicated by clamping).
-const LEVELS: [simd::Level; 3] = [simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2];
 
 /// Run `f` with the dispatch level pinned, restoring detection after.
 fn at_level<R>(level: simd::Level, f: impl FnOnce() -> R) -> R {
@@ -132,16 +131,16 @@ fn same_tanh(got: f32, want: f32) -> bool {
 }
 
 /// Every table entry, at every level, in every lane position: the table
-/// is run from each of its first eight offsets, so each entry passes
-/// through each lane of the 8-lane body and through the scalar tail.
+/// is run from each of its first sixteen offsets, so each entry passes
+/// through each lane of the 8- and 16-lane bodies and through their tails.
 #[test]
 fn tanh_matches_pinned_glibc_table_at_every_level() {
     let xs: Vec<f32> = TANHF_GLIBC_2_36
         .iter()
         .map(|&(x, _)| f32::from_bits(x))
         .collect();
-    for level in LEVELS {
-        for start in 0..8 {
+    for level in simd::host_levels() {
+        for start in 0..16 {
             let mut got = xs[start..].to_vec();
             at_level(level, || simd::tanh(&mut got));
             for (g, &(x, want)) in got.iter().zip(&TANHF_GLIBC_2_36[start..]) {
@@ -174,7 +173,7 @@ fn tanh_sweep() -> Vec<f32> {
 #[test]
 fn tanh_matches_pinned_glibc_sweep_digest_at_every_level() {
     let xs = tanh_sweep();
-    for level in LEVELS {
+    for level in simd::host_levels() {
         let mut y = xs.clone();
         at_level(level, || simd::tanh(&mut y));
         let fnv = y.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
@@ -184,9 +183,10 @@ fn tanh_matches_pinned_glibc_sweep_digest_at_every_level() {
     }
 }
 
-/// All 2^32 inputs through the port, at the scalar level and at the
-/// widest one, against the host's `f32::tanh`. A host whose `tanhf`
-/// disagrees with the pinned glibc table (another libm) is skipped
+/// All 2^32 inputs through the port against the host's `f32::tanh`, at
+/// the scalar level and at every level the host has with a tanh body of
+/// its own (AVX2, AVX-512; SSE2 runs the scalar port). A host whose
+/// `tanhf` disagrees with the pinned glibc table (another libm) is skipped
 /// loudly: the table above is the contract there. Run it in release:
 /// `cargo test --release -p aimts-tensor --test simd_oracle -- --ignored
 /// tanh_port_matches_host_libm_exhaustively`.
@@ -204,12 +204,16 @@ fn tanh_port_matches_host_libm_exhaustively() {
         );
         return;
     }
+    let levels: Vec<simd::Level> = simd::host_levels()
+        .filter(|l| *l != simd::Level::Sse2)
+        .collect();
     const CHUNK: u64 = 1 << 12;
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     let chunks = (1u64 << 32) / CHUNK;
     let mismatches: Vec<u32> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
+                let levels = &levels;
                 s.spawn(move || {
                     let mut bad = Vec::new();
                     for c in (t..chunks).step_by(threads as usize) {
@@ -221,10 +225,10 @@ fn tanh_port_matches_host_libm_exhaustively() {
                             at_level(level, || simd::tanh(&mut v));
                             v
                         };
-                        let (scalar, widest) = (run(simd::Level::Scalar), run(simd::Level::Avx2));
+                        let ys: Vec<Vec<f32>> = levels.iter().map(|&l| run(l)).collect();
                         for (i, &x) in xs.iter().enumerate() {
                             let want = x.tanh();
-                            if !(same_tanh(scalar[i], want) && same_tanh(widest[i], want)) {
+                            if !ys.iter().all(|y| same_tanh(y[i], want)) {
                                 bad.push(x.to_bits());
                             }
                         }
@@ -240,7 +244,7 @@ fn tanh_port_matches_host_libm_exhaustively() {
     });
     assert!(
         mismatches.is_empty(),
-        "{} inputs differ from the host tanhf, first {:#010x?}",
+        "{} inputs differ from the host tanhf at one of {levels:?}, first {:#010x?}",
         mismatches.len(),
         &mismatches[..mismatches.len().min(8)]
     );
@@ -249,7 +253,7 @@ fn tanh_port_matches_host_libm_exhaustively() {
 proptest! {
     /// `simd::tanh` agrees bitwise across every dispatch level on `element()`
     /// slices and on scaled `randn` slices (which reach every branch of the
-    /// port), at lengths that leave a scalar tail after the 8-lane body.
+    /// port), at lengths that leave a tail after the 8- and 16-lane bodies.
     #[test]
     fn tanh_matches_scalar_bitwise(
         mixed in prop::collection::vec(element(), 1..130),
@@ -271,7 +275,7 @@ proptest! {
                 bits_nan_canonical(&v)
             };
             let reference = run(simd::Level::Scalar);
-            for level in LEVELS {
+            for level in simd::host_levels() {
                 prop_assert_eq!(&reference, &run(level), "tanh diverged at {:?} (n={})", level, xs.len());
             }
         }
@@ -292,7 +296,7 @@ proptest! {
             simd::axpy(&mut c, s, b);
             c
         });
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, || {
                 let mut c = c0.to_vec();
                 simd::axpy(&mut c, s, b);
@@ -318,7 +322,7 @@ proptest! {
             simd::add_assign(&mut a, b);
             a
         });
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, || {
                 let mut a = a0.to_vec();
                 simd::add_assign(&mut a, b);
@@ -342,7 +346,7 @@ proptest! {
             simd::scale_assign(&mut a, s);
             a
         });
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, || {
                 let mut a = a0.clone();
                 simd::scale_assign(&mut a, s);
@@ -358,8 +362,9 @@ proptest! {
     }
 
     /// Whole-op oracle: matmul through the public API is bitwise stable
-    /// across dispatch levels for arbitrary shapes. Up to 12×40 outputs
-    /// cover whole 4×16 register tiles plus row and column tails. Two
+    /// across dispatch levels for arbitrary shapes. Up to 12×80 outputs
+    /// cover whole 4×16 and 4×32 register tiles, the 4×16 tile after the
+    /// last 4×32 one, and row and column tails. Two
     /// operand sets per shape: `randn` values pin the rounding of every
     /// finite sum (accumulation order), and operands drawn from `element()`
     /// — whose products mostly overflow — pin the zero skip, signed zeros,
@@ -369,10 +374,10 @@ proptest! {
     fn matmul_bitwise_stable_across_levels(
         m in 1usize..13,
         k in 1usize..17,
-        n in 1usize..41,
+        n in 1usize..81,
         seed in 0u64..1000,
         a_vals in prop::collection::vec(element(), 12 * 16..=12 * 16),
-        b_vals in prop::collection::vec(element(), 16 * 40..=16 * 40),
+        b_vals in prop::collection::vec(element(), 16 * 80..=16 * 80),
     ) {
         let operands = [
             (Tensor::randn(&[m, k], seed), Tensor::randn(&[k, n], seed.wrapping_add(1))),
@@ -384,7 +389,7 @@ proptest! {
         for (a, b) in &operands {
             let product = || bits_nan_canonical(&a.matmul(b).to_vec());
             let reference = at_level(simd::Level::Scalar, product);
-            for level in LEVELS {
+            for level in simd::host_levels() {
                 let got = at_level(level, product);
                 prop_assert_eq!(
                     reference.clone(),
@@ -440,7 +445,7 @@ proptest! {
             )
         };
         let reference = at_level(simd::Level::Scalar, run);
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, run);
             prop_assert_eq!(
                 reference.clone(),
@@ -492,7 +497,7 @@ proptest! {
             )
         };
         let reference = at_level(simd::Level::Scalar, run);
-        for level in LEVELS {
+        for level in simd::host_levels() {
             let got = at_level(level, run);
             prop_assert_eq!(
                 reference.clone(),
